@@ -27,15 +27,22 @@ RECORD_CUBIC = (27.0, -498.0, 1164.0, -722.0)
 
 
 def limit_l4_normalized(R: float, T: float) -> float:
-    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires T > 0."""
-    if T <= 0:
-        raise ValueError(f"length fraction T must be positive, got {T}")
+    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, T > 0.
+
+    R is reduced mod 1/2 first (Phi shares u's half-period), so large |R|
+    cannot cancel against T in the lattice window.
+    """
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"length fraction T must be positive and finite, got {T}")
+    R = normalize_R(R)
+    # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R < 1, for
+    # n <= 0 in the second; skipping them leaves both sums bit-identical.
     first = 0.0
-    for n in range(-math.ceil(T), math.ceil(T) + 1):
+    for n in range(1 - math.ceil(T), math.ceil(T)):
         first += max(0.0, T - abs(n)) ** 2
     second = 0.0
     center = T + 2.0 * R
-    for n in range(math.floor(2.0 * R) - 1, math.ceil(2.0 * T + 2.0 * R) + 2):
+    for n in range(1, math.ceil(2.0 * T + 2.0 * R) + 1):
         second += max(0.0, T - abs(center - n)) ** 2
     return -4.0 * T**3 / 3.0 + 2.0 * first + second
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 # Witnesses proving compositeness for every composite below 3.3e24,
@@ -9,7 +10,8 @@ from functools import lru_cache
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+# Bounded: a range scan would otherwise keep one entry per odd number tested.
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
     if n < 2:
@@ -35,10 +37,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_odd_prime(p: int) -> int:
-    """Validate that p is an odd prime (>= 3) fitting in a 64-bit word."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an integer, got {p!r}")
+def as_int(value, what: str) -> int:
+    """value as a Python int, for any integral type (numpy integers too).
+
+    bool and floats, integral or not, raise ValueError naming `what`.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def require_odd_prime(p) -> int:
+    """Validate that p is an odd prime (>= 3) fitting in a 64-bit word;
+    returns it as a Python int."""
+    p = as_int(p, "modulus")
     if p >= 2**63:
         raise ValueError(f"modulus must fit in a 64-bit word, got {p}")
     if p < 3 or p % 2 == 0 or not is_prime(p):

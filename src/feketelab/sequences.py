@@ -8,12 +8,13 @@ autocorrelations; all norm computations here stay in integer arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import legendre_table
-from .primality import require_odd_prime
+from .primality import as_int, require_odd_prime
 
 
 class KernelPrecisionError(ArithmeticError):
@@ -34,24 +35,40 @@ class FeketeSpec:
     t: int
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if not isinstance(self.r, int) or isinstance(self.r, bool):
-            raise ValueError(f"rotation must be an integer, got {self.r!r}")
-        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
-            raise ValueError(f"length must be a positive integer, got {self.t!r}")
+        # Any integral type (numpy integers included) is stored as a Python int.
+        object.__setattr__(self, "p", require_odd_prime(self.p))
+        object.__setattr__(self, "r", as_int(self.r, "rotation"))
+        t = as_int(self.t, "length")
+        if t < 1:
+            raise ValueError(f"length must be a positive integer, got {t!r}")
+        object.__setattr__(self, "t", t)
 
 
 class CoefficientSequence:
-    """Immutable finite coefficient vector with entries in {-1, 0, +1}."""
+    """Immutable finite coefficient vector with entries in {-1, 0, +1}.
+
+    The entries are held in a read-only int8 array, `coeffs`.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs) -> None:
-        arr = np.asarray(coeffs, dtype=np.int64).copy()
+        arr = np.asarray(coeffs, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficient vector must be 1-d and non-empty")
         if not np.isin(arr, (-1, 0, 1)).all():
             raise ValueError("coefficients must lie in {-1, 0, +1}")
+        self._freeze(arr.astype(np.int8))
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> CoefficientSequence:
+        """Wrap a fresh 1-d int8 array whose entries are in {-1, 0, +1} by
+        construction, without validating or copying it."""
+        seq = object.__new__(cls)
+        seq._freeze(arr)
+        return seq
+
+    def _freeze(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -88,15 +105,17 @@ def _as_sequence(seq) -> CoefficientSequence:
 
 def fekete_coeffs(spec: FeketeSpec) -> CoefficientSequence:
     """Coefficient vector [ (j + r | p) for 0 <= j < t ]."""
-    table = legendre_table(spec.p)
-    idx = (np.arange(spec.t, dtype=np.int64) + spec.r % spec.p) % spec.p
-    return CoefficientSequence(table[idx])
+    # Rotate the table by r, then repeat it cyclically to length t.  Both
+    # steps cost O(p + t); np.take(mode="wrap") wraps each index by repeated
+    # subtraction, which costs O(t^2 / p) when t is many periods long.
+    rotated = np.roll(legendre_table(spec.p), -(spec.r % spec.p))
+    return CoefficientSequence._trusted(np.resize(rotated, spec.t))
 
 
 def littlewoodize(seq) -> CoefficientSequence:
     """Replace every zero coefficient by +1, forcing entries into {-1, +1}."""
     seq = _as_sequence(seq)
-    return CoefficientSequence(np.where(seq.coeffs == 0, 1, seq.coeffs))
+    return CoefficientSequence._trusted(np.where(seq.coeffs == 0, 1, seq.coeffs))
 
 
 def autocorrelation_naive(seq) -> np.ndarray:
@@ -105,7 +124,7 @@ def autocorrelation_naive(seq) -> np.ndarray:
     Direct O(t^2) integer summation; the reference kernel.
     """
     seq = _as_sequence(seq)
-    f = seq.coeffs
+    f = seq.coeffs.astype(np.int64)  # an int8 dot product would overflow
     t = f.size
     out = np.empty(t, dtype=np.int64)
     for u in range(t):
@@ -113,19 +132,44 @@ def autocorrelation_naive(seq) -> np.ndarray:
     return out
 
 
+def _smooth_numbers(limit: int) -> tuple[int, ...]:
+    """All 2^a 3^b 5^c <= limit, ascending."""
+    found = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                found.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return tuple(sorted(found))
+
+
+# FFT lengths with no prime factor above 5, which pocketfft transforms
+# fastest.  2^40 points of float64 are far beyond any allocatable array.
+_SMOOTH_LENGTHS = _smooth_numbers(1 << 40)
+
+
+def _smooth_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m."""
+    return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, m)]
+
+
 def autocorrelation_fast(seq) -> np.ndarray:
     """Same integer output as autocorrelation_naive in O(t log t).
 
     Spectral convolution of the sequence with its reversal, zero-padded
-    to the next power of two >= 2t-1.  Raises KernelPrecisionError if
+    to the smallest 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError if
     any value fails to round cleanly to an integer (residual >= 1e-3).
     """
     seq = _as_sequence(seq)
-    f = seq.coeffs.astype(np.float64)
-    t = f.size
-    n = 1 << max(2 * t - 2, 0).bit_length()
-    spectrum = np.fft.rfft(f, n)
-    corr = np.fft.irfft(spectrum * np.conj(spectrum), n)[:t]
+    t = len(seq)
+    n = _smooth_length(2 * t - 1)
+    spectrum = np.fft.rfft(seq.coeffs, n)
+    corr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n)[:t]
     rounded = np.rint(corr)
     residual = float(np.abs(corr - rounded).max())
     if residual >= 1e-3:
@@ -138,13 +182,29 @@ def autocorrelation_fast(seq) -> np.ndarray:
 def l2_norm_pow2(seq) -> int:
     """Squared L2 norm: sum of squared coefficients (= t for Littlewood)."""
     seq = _as_sequence(seq)
-    return int(np.dot(seq.coeffs, seq.coeffs))
+    return int(np.count_nonzero(seq.coeffs))
+
+
+def _sum_squares(values: np.ndarray) -> int:
+    """Exact sum of v^2 over an int64 vector, as a Python int.
+
+    int64 dot products run over chunks of floor(2^62 / max v^2) entries,
+    so no partial sum can overflow, and the chunk sums are added as
+    Python ints.  Exact whenever each v^2 fits in int64 (|v| < 3.03e9).
+    """
+    peak = int(np.abs(values).max())
+    step = max(1, 2**62 // max(peak * peak, 1))
+    return sum(
+        int(np.dot(values[i : i + step], values[i : i + step]))
+        for i in range(0, values.size, step)
+    )
 
 
 def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     """Fourth power of the L4 norm: c_0^2 + 2 sum_{u>=1} c_u^2, exact.
 
-    Accumulates in Python integers, so no overflow at any desk scale.
+    Sums the squares with overflow-guarded int64 dot products.  Since
+    |c_u| <= t, one chunk covers every t with t^3 <= 2^62 (t <= 1.6e6).
     """
     seq = _as_sequence(seq)
     if kernel == "fast":
@@ -153,8 +213,7 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
         c = autocorrelation_naive(seq)
     else:
         raise ValueError(f"kernel must be 'fast' or 'naive', got {kernel!r}")
-    values = c.tolist()
-    return values[0] ** 2 + 2 * sum(v * v for v in values[1:])
+    return 2 * _sum_squares(c) - int(c[0]) ** 2
 
 
 def merit_factor(seq) -> float:

@@ -21,6 +21,7 @@ from feketelab.suites import (
     check_minimum_consistency,
     check_periodic_bound,
     check_record_constants,
+    check_region_pieces,
     check_weil_square_cases,
 )
 
@@ -37,6 +38,7 @@ CRITERIA = [
     ("10 periodic lower bound", check_periodic_bound, 30.0),
     ("11 kernel equivalence", check_kernels, 30.0),
     ("12 convergence ladders", check_convergence, 30.0),
+    ("13 region pieces", check_region_pieces, 30.0),
 ]
 
 

@@ -38,6 +38,22 @@ def test_limit_rejects_nonpositive_T():
         ratio_limit_u(0.1, -1.0)
 
 
+@pytest.mark.parametrize(
+    "R,T",
+    [(0.0, np.inf), (0.0, np.nan), (0.0, -np.inf), (np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0)],
+)
+def test_limit_rejects_non_finite_arguments(R, T):
+    with pytest.raises(ValueError):
+        ratio_limit_u(R, T)
+
+
+def test_limit_reduces_large_R():
+    # 1e16 + 0.25 rounds to 1e16, which is 0 mod 1/2
+    assert ratio_limit_u(1e16 + 0.25, 1.0) == pytest.approx(5 / 3, abs=1e-14)
+    assert ratio_limit_u(1e9 + 0.25, 1.0) == pytest.approx(7 / 6, abs=1e-14)
+    assert ratio_limit_u(-(2.0**60), 0.75) == ratio_limit_u(0.0, 0.75)
+
+
 def test_limit_lattice_windows_are_wide_enough():
     # widening the windows further must not change the value
     def wide(R, T):

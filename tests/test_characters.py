@@ -62,6 +62,18 @@ def test_legendre_table_agrees_with_euler_criterion():
         assert all(int(table[a]) == legendre(a, p) for a in range(p))
 
 
+def test_legendre_table_cache_is_bounded():
+    legendre_table.cache_clear()
+    primes = primes_in(3, 200)
+    for p in primes:
+        table = legendre_table(p)
+        assert table.dtype == np.int8 and not table.flags.writeable
+    info = legendre_table.cache_info()
+    # a scan round's 12 primes must all stay cached
+    assert 12 <= info.maxsize < len(primes)
+    assert info.currsize == info.maxsize
+
+
 def test_legendre_multiplicativity_exhaustive():
     for p in primes_in(3, 101):
         table = legendre_table(p)

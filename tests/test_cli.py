@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from feketelab.cli import main
 
 
@@ -50,6 +52,12 @@ def test_limit_example(capsys):
 def test_limit_rejects_bad_T(capsys):
     code, _, err = run(capsys, "limit", "--R", "0.25", "--T", "0")
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("R,T", [("0", "inf"), ("inf", "1"), ("0", "nan"), ("-inf", "1")])
+def test_limit_rejects_non_finite_arguments(capsys, R, T):
+    code, _, err = run(capsys, "limit", f"--R={R}", f"--T={T}")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_constants_json(capsys):

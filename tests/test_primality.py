@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from feketelab.primality import is_prime, next_prime_at_least, primes_in, require_odd_prime
@@ -65,6 +66,22 @@ def test_next_prime_at_least():
 def test_require_odd_prime():
     assert require_odd_prime(3) == 3
     assert require_odd_prime(9223372036854775783) == 9223372036854775783
-    for bad in (2, 4, 9, 1, -7, True, 2**63 + 9):
+    for bad in (2, 4, 9, 1, -7, True, 2**63 + 9, 7.0, np.float64(7.0), np.bool_(1)):
         with pytest.raises(ValueError):
             require_odd_prime(bad)
+
+
+@pytest.mark.parametrize("itype", [np.int64, np.int32])
+def test_require_odd_prime_accepts_numpy_integers(itype):
+    p = require_odd_prime(itype(7))
+    assert p == 7 and type(p) is int
+    with pytest.raises(ValueError):
+        require_odd_prime(itype(9))
+
+
+def test_is_prime_cache_is_bounded():
+    is_prime.cache_clear()
+    primes_in(3, 20_001)  # 10^4 odd candidates
+    info = is_prime.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 10_000

@@ -16,6 +16,8 @@ from feketelab.sequences import (
     littlewoodize,
     merit_factor,
     periodic_lower_bound,
+    _smooth_length,
+    _sum_squares,
 )
 from feketelab.primality import primes_in
 
@@ -26,8 +28,17 @@ def test_spec_validation():
         FeketeSpec(4, 0, 3)
     with pytest.raises(ValueError):
         FeketeSpec(3, 0, 0)
-    with pytest.raises(ValueError):
-        FeketeSpec(3, 0.5, 3)
+    for p, r, t in [(3, 0.5, 3), (7, True, 3), (7, 0, True), (7, 0, 3.0), (np.bool_(1), 0, 3)]:
+        with pytest.raises(ValueError):
+            FeketeSpec(p, r, t)
+
+
+@pytest.mark.parametrize("itype", [np.int64, np.int32])
+def test_spec_accepts_numpy_integers(itype):
+    spec = FeketeSpec(itype(7), itype(-2), itype(3))
+    assert spec == FeketeSpec(7, -2, 3)
+    assert all(type(v) is int for v in (spec.p, spec.r, spec.t))
+    assert fekete_coeffs(spec) == fekete_coeffs(FeketeSpec(7, -2, 3))
 
 
 def test_coefficient_sequence_validation():
@@ -113,9 +124,50 @@ def test_autocorrelation_profile_invariants():
 
 def test_autocorrelation_fast_equals_naive():
     rng = np.random.RandomState(5)
-    for t in (1, 2, 3, 17, 100, 1024, 2**14):
+    # 1458 and 1563 pad to 2916 = 2^2 3^6 and 3125 = 5^5, not powers of two
+    for t in (1, 2, 3, 17, 100, 1024, 1458, 1563, 2**14):
         seq = CoefficientSequence(rng.choice([-1, 1], size=t))
         assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+def test_smooth_length_matches_brute_force():
+    def brute(m):
+        n = m
+        while True:
+            k = n
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            if k == 1:
+                return n
+            n += 1
+
+    assert [_smooth_length(m) for m in range(1, 10_001)] == [
+        brute(m) for m in range(1, 10_001)
+    ]
+
+
+def test_autocorrelation_fast_all_ones_at_largest_ladder_length():
+    # c_u = t - u is the largest |c_u| any length-t sign sequence can have
+    t = 1_250_001
+    assert _smooth_length(2 * t - 1) == 2_519_424 == 2**7 * 3**9
+    ones = CoefficientSequence(np.ones(t, dtype=np.int8))
+    c = autocorrelation_fast(ones)
+    assert c.dtype == np.int64
+    assert (c == np.arange(t, 0, -1)).all()
+    assert l4_norm_pow4(ones) == t * t + (t - 1) * t * (2 * t - 1) // 3
+
+
+def test_sum_squares_is_exact_past_int64():
+    big = 3_037_000_499  # largest v with v^2 < 2^63
+    values = np.array(
+        [big, -big, 2**31 - 1, -(2**31), 1, 0, -7] + [2**31 - 1] * 5, dtype=np.int64
+    )
+    exact = sum(v * v for v in values.tolist())
+    assert exact > 2**63
+    assert _sum_squares(values) == exact
+    assert _sum_squares(values[4:7]) == 50
+    assert _sum_squares(np.zeros(3, dtype=np.int64)) == 0
 
 
 def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
