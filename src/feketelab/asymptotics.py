@@ -18,46 +18,84 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Union
+
+import numpy as np
 
 # Cubics pinning the optimum: T0 is the middle root of the first,
 # c the smallest root of the second, R0 = (3 - 2 T0)/4.
 LENGTH_CUBIC = (4.0, 0.0, -30.0, 27.0)
 RECORD_CUBIC = (27.0, -498.0, 1164.0, -722.0)
 
+FloatOrArray = Union[float, np.ndarray]
 
-def limit_l4_normalized(R: float, T: float) -> float:
-    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, T > 0.
+# Largest length fraction accepted: the lattice sums take ~4T terms.
+T_MAX = 2.0**20
+# Smallest grid step minimize_u accepts: its scan takes ~1/(2 step^2) points.
+MIN_GRID_STEP = 2.0**-12
+# Grid points per block of the vectorized scan, to bound its temporaries.
+_SCAN_BLOCK = 8192
 
-    R is reduced mod 1/2 first (Phi shares u's half-period), so large |R|
-    cannot cancel against T in the lattice window.
+
+def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
+    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, 0 < T <= 2**20.
+
+    R and T are floats or float64 arrays (broadcast together); a float
+    gives a float.  R is reduced mod 1/2 first (Phi shares u's
+    half-period), so large |R| cannot cancel against T in the lattice
+    window.  This is the one lattice-sum body for both routes, written
+    with + - * / abs % only (squares as products, max(0, d) as
+    (d + |d|)/2), so an array element and the same float give
+    bit-identical values.  The window is ceil of the largest T; the terms
+    it adds for smaller T are exact zeros.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"length fraction T must be positive and finite, got {T}")
+    if isinstance(R, np.ndarray) or isinstance(T, np.ndarray):
+        R = np.asarray(R, dtype=np.float64)
+        T = np.asarray(T, dtype=np.float64)
+        # min/max propagate NaN; the initial 1.0 covers empty arrays
+        t_lo, t_hi = T.min(initial=1.0), T.max(initial=1.0)
+    else:
+        t_lo = t_hi = T
+    if not (0.0 < t_lo and t_hi <= T_MAX):
+        bad = t_hi if t_lo > 0.0 else t_lo
+        raise ValueError(f"length fraction T must be positive and at most 2**20, got {bad}")
     R = normalize_R(R)
-    # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R < 1, for
-    # n <= 0 in the second; skipping them leaves both sums bit-identical.
+    window = math.ceil(t_hi)
+    # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R <= 1, for
+    # n <= 0 and n >= 2T + 1 in the second.
     first = 0.0
-    for n in range(1 - math.ceil(T), math.ceil(T)):
-        first += max(0.0, T - abs(n)) ** 2
+    for n in range(1 - window, window):
+        d = T - abs(n)
+        d = (d + abs(d)) * 0.5
+        first += d * d
     second = 0.0
     center = T + 2.0 * R
-    for n in range(1, math.ceil(2.0 * T + 2.0 * R) + 1):
-        second += max(0.0, T - abs(center - n)) ** 2
-    return -4.0 * T**3 / 3.0 + 2.0 * first + second
+    for n in range(1, 2 * window + 1):
+        d = T - abs(center - n)
+        d = (d + abs(d)) * 0.5
+        second += d * d
+    return -4.0 * (T * T * T) / 3.0 + 2.0 * first + second
 
 
-def ratio_limit_u(R: float, T: float) -> float:
+def ratio_limit_u(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
     """u(R, T) = Phi(R, T) / T^2, the limit of ||g||_4^4 / ||g||_2^4.
 
-    Always at least 2 - 4T/3, hence > 4/3 whenever T < 1/2.
+    Accepts floats or float64 arrays, like limit_l4_normalized.  Always
+    at least 2 - 4T/3, hence > 4/3 whenever T < 1/2.
     """
     return limit_l4_normalized(R, T) / (T * T)
 
 
-def normalize_R(R: float) -> float:
-    """Reduce the rotation fraction to [0, 1/2); u is invariant under it."""
-    if not math.isfinite(R):
+def _all(mask) -> bool:
+    """A bool, or whether every element of a bool array is set."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else mask
+
+
+def normalize_R(R: FloatOrArray) -> FloatOrArray:
+    """Reduce the rotation fraction (float or float64 array) to [0, 1/2);
+    u is invariant under it."""
+    finite = np.isfinite(R).all() if isinstance(R, np.ndarray) else math.isfinite(R)
+    if not finite:
         raise ValueError(f"rotation fraction must be finite, got {R}")
     return R % 0.5
 
@@ -97,21 +135,20 @@ def region_classify(R: float, T: float) -> Region:
     return Region.D6
 
 
-def u4_closed_form(R: float, T: float) -> float:
+def u4_closed_form(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
     """Rational form of u on the fourth cell (1 <= T, T + R <= 3/2).
 
     u4 = -4T/3 + 2 + [4(T-1)^2 + (1-2R)^2 + (2T+2R-2)^2] / T^2.
     Along R = (3-2T)/4 this reduces to (-8T^3+48T^2-60T+27)/(6T^2).
+    Accepts floats or float64 arrays; every element must lie in the cell.
     """
     R = normalize_R(R)
-    if not (1.0 <= T <= 1.5 and T + R <= 1.5):
+    if not _all((1.0 <= T) & (T <= 1.5) & (T + R <= 1.5)):
         raise ValueError(f"({R}, {T}) lies outside the fourth cell")
-    return (
-        -4.0 * T / 3.0
-        + 2.0
-        + (4.0 * (T - 1.0) ** 2 + (1.0 - 2.0 * R) ** 2 + (2.0 * T + 2.0 * R - 2.0) ** 2)
-        / (T * T)
-    )
+    a = T - 1.0
+    b = 1.0 - 2.0 * R
+    c = 2.0 * T + 2.0 * R - 2.0
+    return -4.0 * T / 3.0 + 2.0 + (4.0 * (a * a) + b * b + c * c) / (T * T)
 
 
 def solve_cubic_root(
@@ -181,11 +218,15 @@ def record_constants() -> RecordConstants:
     return RecordConstants(T0=T0, R0=R0, c=c, merit_factor_limit=1.0 / (c - 1.0))
 
 
-def hj_specialization(R: float) -> float:
-    """u on the T = 1 line: 7/6 + 8(|R| - 1/4)^2 for |R| <= 1/2."""
-    if abs(R) > 0.5:
+def hj_specialization(R: FloatOrArray) -> FloatOrArray:
+    """u on the T = 1 line: 7/6 + 8(|R| - 1/4)^2 for |R| <= 1/2.
+
+    Accepts a float or a float64 array.
+    """
+    if not _all(abs(R) <= 0.5):
         raise ValueError(f"|R| <= 1/2 required, got {R}")
-    return 7.0 / 6.0 + 8.0 * (abs(R) - 0.25) ** 2
+    d = abs(R) - 0.25
+    return 7.0 / 6.0 + 8.0 * (d * d)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -211,40 +252,48 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return 0.5 * (a + b)
 
 
+def _grid_scan(grid_step: float) -> tuple[float, float, float]:
+    """(u, R, T) at the first minimum of u over the grid of D with the given
+    step, in R-major order, as Python floats.
+
+    The grid goes through ratio_limit_u in blocks of whole R rows of at most
+    ~_SCAN_BLOCK points; np.argmin and the strict comparison across blocks
+    both keep the first minimum.
+    """
+    rs = np.minimum(np.arange(round(0.5 / grid_step) + 1) * grid_step, 0.5)
+    ts = np.minimum(0.5 + np.arange(round(1.0 / grid_step) + 1) * grid_step, 1.5)
+    rows = max(1, _SCAN_BLOCK // ts.size)
+    best = (math.inf, 0.0, 0.5)
+    for start in range(0, rs.size, rows):
+        values = ratio_limit_u(rs[start : start + rows, None], ts[None, :])
+        i, k = np.unravel_index(np.argmin(values), values.shape)
+        if values[i, k] < best[0]:
+            best = (float(values[i, k]), float(rs[start + i]), float(ts[k]))
+    return best
+
+
 def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float]:
     """Deterministic global minimization of u over D = [0,1/2] x [1/2,3/2].
 
     Exhaustive scan of the grid at the given step (required <= 1/64 so
-    the scan cannot miss the single smooth basin), then coordinate
-    descent with golden-section line searches on a window that halves
-    each sweep until it drops below refine_tol.  Returns (R*, T*, u*).
+    the scan cannot miss the single smooth basin, and >= 2**-12 so the
+    scan stays bounded), then coordinate descent with golden-section
+    line searches on a window that halves each sweep until it drops
+    below refine_tol.  Returns (R*, T*, u*).
     In double precision the localization of the minimizer bottoms out
     near 1e-8 (value comparisons cannot resolve the flat quadratic
     bottom below that), far below the 1e-6 the verification suite
     demands.
     """
-    if not 0.0 < grid_step <= 1.0 / 64.0:
-        raise ValueError(f"grid step must be in (0, 1/64], got {grid_step}")
+    if not MIN_GRID_STEP <= grid_step <= 1.0 / 64.0:
+        raise ValueError(f"grid step must be in [2**-12, 1/64], got {grid_step}")
     if refine_tol <= 0.0:
         raise ValueError(f"refinement tolerance must be positive, got {refine_tol}")
-
-    n_r = round(0.5 / grid_step)
-    n_t = round(1.0 / grid_step)
-    best_u = math.inf
-    best_r = 0.0
-    best_t = 0.5
-    for i in range(n_r + 1):
-        R = min(i * grid_step, 0.5)
-        for k in range(n_t + 1):
-            T = min(0.5 + k * grid_step, 1.5)
-            val = ratio_limit_u(R, T)
-            if val < best_u or (val == best_u and (R, T) < (best_r, best_t)):
-                best_u, best_r, best_t = val, R, T
 
     # The u-Hessian at the basin gives a coordinate-descent contraction
     # of ~0.43 per sweep, so halving the search window every sweep can
     # never exclude the minimizer once the grid has landed in the basin.
-    R, T = best_r, best_t
+    _, R, T = _grid_scan(grid_step)
     window = 2.0 * grid_step
     while window > refine_tol:
         line_tol = max(window * 1e-3, 0.25 * refine_tol, 1e-13)

@@ -140,20 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_limit = sub.add_parser("limit", help="evaluate the limit ratio u(R, T)")
     p_limit.add_argument("--R", type=float, required=True, help="rotation fraction")
-    p_limit.add_argument("--T", type=float, required=True, help="length fraction > 0")
+    p_limit.add_argument("--T", type=float, required=True, help="length fraction in (0, 2**20]")
     p_limit.set_defaults(func=cmd_limit)
 
     p_const = sub.add_parser("constants", help="record constants as JSON")
     p_const.set_defaults(func=cmd_constants)
 
     p_opt = sub.add_parser("optimize", help="minimize u over [0,1/2] x [1/2,3/2]")
-    p_opt.add_argument("--grid-step", type=float, default=1 / 256, help="scan step <= 1/64")
+    p_opt.add_argument("--grid-step", type=float, default=1 / 256, help="scan step in [2**-12, 1/64]")
     p_opt.add_argument("--tol", type=float, default=1e-9, help="refinement tolerance")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_scan = sub.add_parser("scan", help="convergence ladder written to CSV/JSON")
     p_scan.add_argument("--R", type=float, required=True, help="rotation fraction")
-    p_scan.add_argument("--T", type=float, required=True, help="length fraction > 0")
+    p_scan.add_argument("--T", type=float, required=True, help="length fraction in (0, 2**20]")
     p_scan.add_argument("--pmin", type=int, required=True, help="smallest prime target")
     p_scan.add_argument("--pmax", type=int, required=True, help="largest prime target")
     p_scan.add_argument("--count", type=int, default=8, help="number of primes")

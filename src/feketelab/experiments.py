@@ -8,9 +8,11 @@ term, and the periodic lower bound for long sequences.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -237,15 +239,21 @@ def _record_row(rec: ExperimentRecord) -> dict:
 
 
 def export_records(records, format: str, destination) -> None:
-    """Write records as CSV or JSON with floats at 15 significant digits."""
+    """Write records as CSV or JSON with floats at 15 significant digits.
+
+    The file is written beside the destination under a temporary name and
+    then renamed over it, so a failed write leaves no partial file behind.
+    """
     records = list(records)
     if not records:
         raise ValueError("no records to export")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     rows = [_record_row(rec) for rec in records]
+    head, tail = os.path.split(os.fspath(destination))
+    temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(destination, "w", newline="") as handle:
+        with open(temporary, "x", newline="") as handle:
             if format == "csv":
                 writer = csv.DictWriter(handle, fieldnames=_RECORD_FIELDS)
                 writer.writeheader()
@@ -259,5 +267,10 @@ def export_records(records, format: str, destination) -> None:
             else:
                 json.dump(rows, handle, indent=2)
                 handle.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write records to {destination}: {exc}") from exc
+        os.replace(temporary, destination)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write records to {destination}: {exc}") from exc
+        raise

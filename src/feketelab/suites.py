@@ -16,6 +16,7 @@ import numpy as np
 
 from .asymptotics import (
     Region,
+    _grid_scan,
     hj_specialization,
     minimize_u,
     ratio_limit_u,
@@ -84,11 +85,7 @@ def check_global_optimizer() -> CheckResult:
     rc = record_constants()
     step = 1 / 512
     r_star, t_star, u_star = minimize_u(step, 1e-9)
-    grid_min = math.inf
-    for i in range(round(0.5 / step) + 1):
-        r = min(i * step, 0.5)
-        for k in range(round(1.0 / step) + 1):
-            grid_min = min(grid_min, ratio_limit_u(r, min(0.5 + k * step, 1.5)))
+    grid_min = _grid_scan(step)[0]
     ok = (
         abs(u_star - rc.c) < 1e-8
         and abs(r_star - rc.R0) < 1e-6
@@ -103,12 +100,14 @@ def check_global_optimizer() -> CheckResult:
     )
 
 
+def _max_abs(diff: np.ndarray) -> float:
+    return float(np.max(np.abs(diff)))
+
+
 def check_hj_specialization() -> CheckResult:
     """On the T = 1 line, u matches 7/6 + 8(|R| - 1/4)^2 to 1e-12."""
-    worst = max(
-        abs(ratio_limit_u(r, 1.0) - hj_specialization(r))
-        for r in np.linspace(-0.5, 0.5, 1000)
-    )
+    r = np.linspace(-0.5, 0.5, 1000)
+    worst = _max_abs(ratio_limit_u(r, 1.0) - hj_specialization(r))
     return CheckResult("hj-specialization", worst < 1e-12, f"max|diff|={worst:.2e}")
 
 
@@ -267,6 +266,25 @@ def check_convergence() -> CheckResult:
     return CheckResult("convergence", ok, " ".join(details))
 
 
+# Samples drawn per chunk by check_region_pieces, to bound its temporaries.
+_SAMPLE_CHUNK = 4096
+
+
+def _uniform_chunks(rng: np.random.RandomState, n: int, k: int):
+    """n draws of k uniforms each, in chunks, as k arrays per chunk.
+
+    Row-major random_sample((m, k)) consumes the stream in the order of m
+    rounds of k scalar rng.uniform calls.
+    """
+    for start in range(0, n, _SAMPLE_CHUNK):
+        yield rng.random_sample((min(_SAMPLE_CHUNK, n - start), k)).T
+
+
+def _uniform(low, high, unit):
+    """rng.uniform(low, high) from its unit draw, bit for bit."""
+    return low + (high - low) * unit
+
+
 def check_region_pieces() -> CheckResult:
     """Region dispatch, the fourth-cell closed form, and the symmetries
     of u hold at sampling density."""
@@ -282,34 +300,37 @@ def check_region_pieces() -> CheckResult:
 
     rng = np.random.RandomState(41)
     worst_u4 = 0.0
-    for _ in range(100_000):
-        t = rng.uniform(1.0, 1.5)
-        r = rng.uniform(0.0, 1.5 - t)
-        worst_u4 = max(worst_u4, abs(u4_closed_form(r, t) - ratio_limit_u(r, t)))
+    for t, r in _uniform_chunks(rng, 100_000, 2):
+        t = _uniform(1.0, 1.5, t)
+        r = _uniform(0.0, 1.5 - t, r)
+        worst_u4 = max(worst_u4, _max_abs(u4_closed_form(r, t) - ratio_limit_u(r, t)))
     if worst_u4 >= 1e-12:
         return CheckResult("region-pieces", False, f"u4 deviates {worst_u4:.2e}")
 
     worst_sym = 0.0
-    for _ in range(10_000):
-        r = rng.uniform(-2.0, 2.0)
-        t = rng.uniform(1e-3, 3.0)
-        worst_sym = max(worst_sym, abs(ratio_limit_u(r, t) - ratio_limit_u(r + 0.5, t)))
-        if ratio_limit_u(r, t) < 2 - 4 * t / 3 - 1e-12:
-            return CheckResult("region-pieces", False, f"lower bound broken at ({r},{t})")
+    for r, t in _uniform_chunks(rng, 10_000, 2):
+        r = _uniform(-2.0, 2.0, r)
+        t = _uniform(1e-3, 3.0, t)
+        u = ratio_limit_u(r, t)
+        worst_sym = max(worst_sym, _max_abs(u - ratio_limit_u(r + 0.5, t)))
+        below = np.flatnonzero(u < 2 - 4 * t / 3 - 1e-12)
+        if below.size:
+            at = f"({float(r[below[0]])},{float(t[below[0]])})"
+            return CheckResult("region-pieces", False, f"lower bound broken at {at}")
     if worst_sym >= 1e-10:
         return CheckResult("region-pieces", False, f"half-period broken by {worst_sym:.2e}")
 
     worst_refl = 0.0
-    for _ in range(10_000):
-        t = rng.uniform(0.5, 1.0)
-        r = rng.uniform(0.0, 1.0 - t)  # inside D1 u D2: T + R <= 1
+    for t, r, t2, r2 in _uniform_chunks(rng, 10_000, 4):
+        t = _uniform(0.5, 1.0, t)
+        r = _uniform(0.0, 1.0 - t, r)  # inside D1 u D2: T + R <= 1
         worst_refl = max(
-            worst_refl, abs(ratio_limit_u(r, t) - ratio_limit_u(1.0 - r - t, t))
+            worst_refl, _max_abs(ratio_limit_u(r, t) - ratio_limit_u(1.0 - r - t, t))
         )
-        t = rng.uniform(1.0, 1.5)
-        r = rng.uniform(max(0.0, 1.5 - t), 0.5)  # inside D5 u D6: T + R >= 3/2
+        t = _uniform(1.0, 1.5, t2)
+        r = _uniform(np.maximum(0.0, 1.5 - t), 0.5, r2)  # inside D5 u D6: T + R >= 3/2
         worst_refl = max(
-            worst_refl, abs(ratio_limit_u(r, t) - ratio_limit_u(2.0 - r - t, t))
+            worst_refl, _max_abs(ratio_limit_u(r, t) - ratio_limit_u(2.0 - r - t, t))
         )
     if worst_refl >= 1e-10:
         return CheckResult("region-pieces", False, f"reflection broken by {worst_refl:.2e}")

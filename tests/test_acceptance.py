@@ -28,7 +28,7 @@ from feketelab.suites import (
 CRITERIA = [
     ("01 record constant", check_record_constants, 2.0),
     ("02 minimum consistency", check_minimum_consistency, 2.0),
-    ("03 global optimizer", check_global_optimizer, 10.0),
+    ("03 global optimizer", check_global_optimizer, 2.0),
     ("04 hoholdt-jensen line", check_hj_specialization, 2.0),
     ("05 character-sum oracle", check_charsum_oracle, 60.0),
     ("06 five-term decomposition", check_decomposition, 60.0),
@@ -38,7 +38,7 @@ CRITERIA = [
     ("10 periodic lower bound", check_periodic_bound, 30.0),
     ("11 kernel equivalence", check_kernels, 30.0),
     ("12 convergence ladders", check_convergence, 30.0),
-    ("13 region pieces", check_region_pieces, 30.0),
+    ("13 region pieces", check_region_pieces, 2.0),
 ]
 
 

@@ -3,7 +3,9 @@ import pytest
 
 from feketelab.asymptotics import (
     LENGTH_CUBIC,
+    MIN_GRID_STEP,
     RECORD_CUBIC,
+    T_MAX,
     Region,
     hj_specialization,
     limit_l4_normalized,
@@ -15,6 +17,7 @@ from feketelab.asymptotics import (
     solve_cubic_root,
     u4_closed_form,
     _golden_min,
+    _grid_scan,
 )
 
 # Frozen from the bisection oracle; cross-checked below against the
@@ -201,6 +204,10 @@ def test_minimize_u_validates_arguments():
         minimize_u(1 / 32, 1e-9)
     with pytest.raises(ValueError):
         minimize_u(1 / 128, 0.0)
+    with pytest.raises(ValueError, match="grid step"):
+        minimize_u(MIN_GRID_STEP / 2, 1e-9)
+    with pytest.raises(ValueError, match="grid step"):
+        minimize_u(float("nan"), 1e-9)
 
 
 def test_restricted_minimum_on_unit_T_line():
@@ -258,3 +265,120 @@ def test_grid_scan_never_undercuts_c():
             R = min(i * step, 0.5)
             T = min(0.5 + k * step, 1.5)
             assert ratio_limit_u(R, T) >= rc.c - 1e-8
+
+
+def test_T_above_the_bound_is_rejected():
+    assert T_MAX == 2.0**20
+    for T in (T_MAX * (1 + 2**-52), 1e18):
+        with pytest.raises(ValueError, match="2\\*\\*20"):
+            ratio_limit_u(0.0, T)
+        with pytest.raises(ValueError, match="2\\*\\*20"):
+            ratio_limit_u(np.array([1.0, 0.0]), np.array([1.0, T]))
+    # below the bound large T still works: u(0, N) = 2N/3 + 1/N for integer N
+    assert ratio_limit_u(0.0, 4096.0) == pytest.approx(2 * 4096 / 3 + 1 / 4096, rel=1e-12)
+
+
+def _scalar_u(R, T):
+    return np.array([ratio_limit_u(r, t) for r, t in zip(R.tolist(), T.tolist())])
+
+
+def test_array_u_equals_scalar_u_bit_for_bit():
+    rng = np.random.RandomState(53)
+    R = rng.uniform(-1e6, 1e6, 200_000)
+    T = 3.0 * (1.0 - rng.random_sample(200_000))  # (0, 3]
+    values = ratio_limit_u(R, T)
+    assert values.dtype == np.float64 and values.shape == R.shape
+    assert np.array_equal(values, _scalar_u(R, T))
+    phi = limit_l4_normalized(R[:5000], T[:5000])
+    assert np.array_equal(
+        phi, [limit_l4_normalized(r, t) for r, t in zip(R[:5000].tolist(), T[:5000].tolist())]
+    )
+
+
+def test_array_u4_equals_scalar_u4_bit_for_bit():
+    rng = np.random.RandomState(59)
+    R = rng.uniform(-1e6, 1e6, 400_000)
+    T = rng.uniform(1.0, 1.5, 400_000)
+    inside = T + R % 0.5 <= 1.5
+    R, T = R[inside], T[inside]
+    assert R.size >= 200_000
+    scalar = [u4_closed_form(r, t) for r, t in zip(R.tolist(), T.tolist())]
+    assert np.array_equal(u4_closed_form(R, T), scalar)
+    assert isinstance(scalar[0], float)
+
+
+def test_array_u_equals_scalar_u_on_the_optimizer_grid():
+    step = 1 / 512
+    R, T = np.meshgrid(
+        np.minimum(np.arange(257) * step, 0.5),
+        np.minimum(0.5 + np.arange(513) * step, 1.5),
+        indexing="ij",
+    )
+    assert np.array_equal(ratio_limit_u(R, T).ravel(), _scalar_u(R.ravel(), T.ravel()))
+
+
+@pytest.mark.parametrize("step", [1 / 64, 1 / 128])
+def test_grid_scan_matches_a_plain_double_loop(step):
+    best_u, best_r, best_t = float("inf"), 0.0, 0.5
+    for i in range(round(0.5 / step) + 1):
+        R = min(i * step, 0.5)
+        for k in range(round(1.0 / step) + 1):
+            T = min(0.5 + k * step, 1.5)
+            val = ratio_limit_u(R, T)
+            if val < best_u:
+                best_u, best_r, best_t = val, R, T
+    scan = _grid_scan(step)
+    assert scan == (best_u, best_r, best_t)
+    assert all(type(x) is float for x in scan)
+
+
+def test_minimize_u_returns_python_floats():
+    assert all(type(x) is float for x in minimize_u(1 / 64, 1e-7))
+
+
+def test_scalar_u_returns_python_float():
+    assert type(ratio_limit_u(0.25, 1.0)) is float
+    assert type(limit_l4_normalized(0.25, 1.0)) is float
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_array_u_rejects_any_bad_T_element(bad):
+    T = np.array([0.5, 1.0, bad, 1.5])
+    with pytest.raises(ValueError):
+        ratio_limit_u(np.zeros(4), T)
+    with pytest.raises(ValueError):
+        limit_l4_normalized(0.1, T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_u_rejects_any_non_finite_R_element(bad):
+    R = np.array([0.0, 0.25, bad])
+    with pytest.raises(ValueError):
+        ratio_limit_u(R, np.ones(3))
+    with pytest.raises(ValueError):
+        u4_closed_form(R, np.full(3, 1.1))
+
+
+def test_array_u4_and_hj_reject_points_outside_their_domain():
+    with pytest.raises(ValueError):
+        u4_closed_form(np.array([0.1, 0.0]), np.array([1.1, 0.9]))
+    with pytest.raises(ValueError):
+        hj_specialization(np.array([0.1, 0.6]))
+
+
+def test_array_u_broadcasts_in_two_dimensions():
+    R = np.linspace(-1.0, 1.0, 7)[:, None]
+    T = np.linspace(0.1, 2.9, 5)[None, :]
+    values = ratio_limit_u(R, T)
+    assert values.shape == (7, 5)
+    for i in range(7):
+        for k in range(5):
+            assert values[i, k] == ratio_limit_u(float(R[i, 0]), float(T[0, k]))
+    assert ratio_limit_u(R, 1.0).shape == (7, 1)
+    assert ratio_limit_u(0.25, T).shape == (1, 5)
+    assert ratio_limit_u(np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_array_hj_matches_scalar_hj():
+    r = np.linspace(-0.5, 0.5, 1001)
+    assert np.array_equal(hj_specialization(r), [hj_specialization(x) for x in r.tolist()])

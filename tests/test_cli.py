@@ -60,6 +60,16 @@ def test_limit_rejects_non_finite_arguments(capsys, R, T):
     assert code == 2 and err.startswith("error:")
 
 
+def test_limit_rejects_huge_T(capsys):
+    code, _, err = run(capsys, "limit", "--R", "0", "--T", "1e18")
+    assert code == 2 and "2**20" in err
+
+
+def test_limit_accepts_large_T_below_the_bound(capsys):
+    code, out, _ = run(capsys, "limit", "--R", "0", "--T", "1000")
+    assert code == 0 and float(out) > 0
+
+
 def test_constants_json(capsys):
     code, out, _ = run(capsys, "constants")
     assert code == 0
@@ -79,6 +89,11 @@ def test_optimize_quick(capsys):
 
 def test_optimize_rejects_coarse_grid(capsys):
     code, _, err = run(capsys, "optimize", "--grid-step", "0.5")
+    assert code == 2 and "grid step" in err
+
+
+def test_optimize_rejects_too_fine_grid(capsys):
+    code, _, err = run(capsys, "optimize", "--grid-step", "1e-4")
     assert code == 2 and "grid step" in err
 
 
@@ -139,10 +154,14 @@ def test_verify_suite_lemma3(capsys):
     assert out.startswith("PASS exponential-sum-bound")
 
 
-def test_verify_suite_charsum(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "charsum")
+def test_verify_suite_regions(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "regions")
     assert code == 0
-    assert "PASS charsum-oracle" in out
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS region-pieces",
+        "PASS hj-specialization",
+    ]
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -204,3 +204,39 @@ def test_export_surfaces_io_failure_with_destination():
     bad = "/nonexistent-dir/out.csv"
     with pytest.raises(OSError, match="nonexistent-dir"):
         export_records(records, "csv", bad)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fmt):
+    import feketelab.experiments as experiments
+
+    records = _sample_records()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("previous contents\n")
+    fresh = tmp_path / "fresh.csv"
+
+    real_writerow = experiments.csv.DictWriter.writerow
+
+    def writerow_then_fail(writer, row):
+        real_writerow(writer, row)
+        raise OSError("disk full")
+
+    def dump_then_fail(rows, handle, **kwargs):
+        handle.write("[\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments.csv.DictWriter, "writerow", writerow_then_fail)
+    monkeypatch.setattr(experiments.json, "dump", dump_then_fail)
+    for destination in (kept, fresh):
+        with pytest.raises(OSError, match="disk full"):
+            export_records(records, fmt, destination)
+    assert kept.read_text() == "previous contents\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.csv"]
+
+
+def test_export_replaces_existing_file(tmp_path):
+    out = tmp_path / "ladder.csv"
+    out.write_text("stale\n" * 100)
+    export_records(_sample_records(), "csv", out)
+    assert out.read_text().startswith("p,r,t,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ladder.csv"]
