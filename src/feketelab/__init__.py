@@ -37,7 +37,6 @@ from .experiments import (
 from .primality import is_prime, next_prime_at_least, primes_in
 from .suites import CheckResult, SUITES, run_suite
 from .sequences import (
-    CoefficientSequence,
     FeketeSpec,
     KernelPrecisionError,
     autocorrelation_fast,

@@ -94,10 +94,15 @@ def _all(mask) -> bool:
 def normalize_R(R: FloatOrArray) -> FloatOrArray:
     """Reduce the rotation fraction (float or float64 array) to [0, 1/2);
     u is invariant under it."""
-    finite = np.isfinite(R).all() if isinstance(R, np.ndarray) else math.isfinite(R)
+    is_array = isinstance(R, np.ndarray)
+    finite = np.isfinite(R).all() if is_array else math.isfinite(R)
     if not finite:
         raise ValueError(f"rotation fraction must be finite, got {R}")
-    return R % 0.5
+    r = R % 0.5
+    # A tiny negative R rounds up to 1/2 itself, which is the class of 0.
+    if is_array:
+        return np.where(r == 0.5, 0.0, r)
+    return 0.0 if r == 0.5 else r
 
 
 class Region(enum.Enum):

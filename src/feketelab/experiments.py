@@ -27,6 +27,7 @@ from .sequences import (
     l4_norm_pow4,
     littlewoodize,
     periodic_lower_bound,
+    _window_sum_sq,
 )
 
 __all__ = [
@@ -59,16 +60,6 @@ class DecompositionReport:
     D: Fraction
     E_actual: Fraction
     E_normalized: float
-
-
-def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:
-    """sum_n max(0, t - |offset - n * period|)^2 over all integers n."""
-    total = 0
-    lo = math.floor((offset - t) / period)
-    hi = math.ceil((offset + t) / period)
-    for n in range(lo, hi + 1):
-        total += max(0, t - abs(offset - n * period)) ** 2
-    return total
 
 
 def five_term_decomposition(spec: FeketeSpec) -> DecompositionReport:

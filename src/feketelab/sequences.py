@@ -4,6 +4,8 @@ A length-t coefficient vector over {-1, 0, +1} stands for the polynomial
 sum_j f_j z^j.  On the unit circle its fourth-power L4 norm is the exact
 integer c_0^2 + 2 sum_{u>=1} c_u^2, where c_u are the aperiodic
 autocorrelations; all norm computations here stay in integer arithmetic.
+Coefficient vectors are plain integer arrays or lists, checked at each
+public call; the vectors built here are read-only int8 arrays.
 """
 
 from __future__ import annotations
@@ -44,78 +46,43 @@ class FeketeSpec:
         object.__setattr__(self, "t", t)
 
 
-class CoefficientSequence:
-    """Immutable finite coefficient vector with entries in {-1, 0, +1}.
+def _coefficients(seq) -> np.ndarray:
+    """seq as a 1-d, non-empty integer array over {-1, 0, +1}, not copied.
 
-    The entries are held in a read-only int8 array, `coeffs`.
+    Lists and integer arrays of any width pass; float, bool and str
+    entries, other shapes and out-of-range values raise ValueError.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        arr = np.asarray(coeffs, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficient vector must be 1-d and non-empty")
-        if not np.isin(arr, (-1, 0, 1)).all():
-            raise ValueError("coefficients must lie in {-1, 0, +1}")
-        self._freeze(arr.astype(np.int8))
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> CoefficientSequence:
-        """Wrap a fresh 1-d int8 array whose entries are in {-1, 0, +1} by
-        construction, without validating or copying it."""
-        seq = object.__new__(cls)
-        seq._freeze(arr)
-        return seq
-
-    def _freeze(self, arr: np.ndarray) -> None:
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoefficientSequence is immutable")
-
-    @property
-    def is_littlewood(self) -> bool:
-        """True when every coefficient is -1 or +1."""
-        return bool((self.coeffs != 0).all())
-
-    def __len__(self) -> int:
-        return int(self.coeffs.size)
-
-    def __iter__(self):
-        return iter(self.coeffs.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientSequence):
-            return NotImplemented
-        return self.coeffs.shape == other.coeffs.shape and bool(
-            (self.coeffs == other.coeffs).all()
-        )
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{v:+d}" for v in self.coeffs.tolist()[:12])
-        tail = ", ..." if len(self) > 12 else ""
-        return f"CoefficientSequence([{body}{tail}], len={len(self)})"
+    arr = np.asarray(seq)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("coefficient vector must be 1-d and non-empty")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
+    if arr.min() < -1 or arr.max() > 1:
+        raise ValueError("coefficients must lie in {-1, 0, +1}")
+    return arr
 
 
-def _as_sequence(seq) -> CoefficientSequence:
-    return seq if isinstance(seq, CoefficientSequence) else CoefficientSequence(seq)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def fekete_coeffs(spec: FeketeSpec) -> CoefficientSequence:
-    """Coefficient vector [ (j + r | p) for 0 <= j < t ]."""
+def fekete_coeffs(spec: FeketeSpec) -> np.ndarray:
+    """Coefficient vector [ (j + r | p) for 0 <= j < t ], read-only int8."""
     # Rotate the table by r, then repeat it cyclically to length t.  Both
     # steps cost O(p + t); np.take(mode="wrap") wraps each index by repeated
     # subtraction, which costs O(t^2 / p) when t is many periods long.
     rotated = np.roll(legendre_table(spec.p), -(spec.r % spec.p))
-    return CoefficientSequence._trusted(np.resize(rotated, spec.t))
+    return _read_only(np.resize(rotated, spec.t))
 
 
-def littlewoodize(seq) -> CoefficientSequence:
-    """Replace every zero coefficient by +1, forcing entries into {-1, +1}."""
-    seq = _as_sequence(seq)
-    return CoefficientSequence._trusted(np.where(seq.coeffs == 0, 1, seq.coeffs))
+def littlewoodize(seq) -> np.ndarray:
+    """Replace every zero coefficient by +1, forcing entries into {-1, +1}.
+
+    Returns a new read-only int8 array.
+    """
+    arr = _coefficients(seq)
+    return _read_only(np.where(arr == 0, 1, arr).astype(np.int8, copy=False))
 
 
 def autocorrelation_naive(seq) -> np.ndarray:
@@ -123,8 +90,7 @@ def autocorrelation_naive(seq) -> np.ndarray:
 
     Direct O(t^2) integer summation; the reference kernel.
     """
-    seq = _as_sequence(seq)
-    f = seq.coeffs.astype(np.int64)  # an int8 dot product would overflow
+    f = _coefficients(seq).astype(np.int64)  # an int8 dot product would overflow
     t = f.size
     out = np.empty(t, dtype=np.int64)
     for u in range(t):
@@ -165,10 +131,10 @@ def autocorrelation_fast(seq) -> np.ndarray:
     to the smallest 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError if
     any value fails to round cleanly to an integer (residual >= 1e-3).
     """
-    seq = _as_sequence(seq)
-    t = len(seq)
+    f = _coefficients(seq)
+    t = f.size
     n = _smooth_length(2 * t - 1)
-    spectrum = np.fft.rfft(seq.coeffs, n)
+    spectrum = np.fft.rfft(f, n)
     corr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n)[:t]
     rounded = np.rint(corr)
     residual = float(np.abs(corr - rounded).max())
@@ -181,8 +147,7 @@ def autocorrelation_fast(seq) -> np.ndarray:
 
 def l2_norm_pow2(seq) -> int:
     """Squared L2 norm: sum of squared coefficients (= t for Littlewood)."""
-    seq = _as_sequence(seq)
-    return int(np.count_nonzero(seq.coeffs))
+    return int(np.count_nonzero(_coefficients(seq)))
 
 
 def _sum_squares(values: np.ndarray) -> int:
@@ -206,11 +171,11 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     Sums the squares with overflow-guarded int64 dot products.  Since
     |c_u| <= t, one chunk covers every t with t^3 <= 2^62 (t <= 1.6e6).
     """
-    seq = _as_sequence(seq)
+    f = _coefficients(seq)
     if kernel == "fast":
-        c = autocorrelation_fast(seq)
+        c = autocorrelation_fast(f)
     elif kernel == "naive":
-        c = autocorrelation_naive(seq)
+        c = autocorrelation_naive(f)
     else:
         raise ValueError(f"kernel must be 'fast' or 'naive', got {kernel!r}")
     return 2 * _sum_squares(c) - int(c[0]) ** 2
@@ -222,9 +187,9 @@ def merit_factor(seq) -> float:
     Raises ValueError on degenerate input (denominator zero, e.g. a
     single coefficient), rather than returning infinity.
     """
-    seq = _as_sequence(seq)
-    num = l2_norm_pow2(seq) ** 2
-    den = l4_norm_pow4(seq) - num
+    f = _coefficients(seq)
+    num = l2_norm_pow2(f) ** 2
+    den = l4_norm_pow4(f) - num
     if den == 0:
         raise ValueError("degenerate sequence: ||f||_4^4 equals ||f||_2^4")
     return num / den
@@ -259,13 +224,15 @@ def char_sum_l4(spec: FeketeSpec) -> int:
     return total
 
 
+def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:
+    """sum_n max(0, t - |offset - n * period|)^2 over all integers n, exactly."""
+    lo = (offset - t) // period
+    hi = -(-(offset + t) // period)
+    return sum(max(0, t - abs(offset - n * period)) ** 2 for n in range(lo, hi + 1))
+
+
 def periodic_lower_bound(t: int, m: int) -> int:
     """sum_n max(0, t - |n| m)^2: the L4^4 floor for m-periodic sequences."""
     if t < 1 or m < 1:
         raise ValueError(f"need t, m >= 1, got t={t}, m={m}")
-    total = t * t
-    n = 1
-    while n * m < t:
-        total += 2 * (t - n * m) ** 2
-        n += 1
-    return total
+    return _window_sum_sq(t, m)

@@ -2,7 +2,9 @@
 
 Each check pins its tolerances in place and returns a CheckResult; a
 suite is a tuple of checks.  The `all` suite is the full gate: every
-numbered check below must pass for the build to be considered healthy.
+check below must pass for the build to be considered healthy, each
+within the time budget `_gate` attaches to it, and every other suite
+draws its checks from it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .characters import gauss_sum_residual, quartic_char_sum
 from .experiments import five_term_decomposition, run_convergence, technical_lemma_check
 from .primality import primes_in
 from .sequences import (
-    CoefficientSequence,
     FeketeSpec,
     autocorrelation_fast,
     autocorrelation_naive,
@@ -36,6 +37,7 @@ from .sequences import (
     fekete_coeffs,
     l4_norm_pow4,
     periodic_lower_bound,
+    _window_sum_sq,
 )
 
 
@@ -49,6 +51,17 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+def _gate(label: str, budget_s: float):
+    """Attach a check's acceptance-test label and its time budget in seconds."""
+
+    def attach(check):
+        check.label, check.budget_s = label, budget_s
+        return check
+
+    return attach
+
+
+@_gate("record constant", 2.0)
 def check_record_constants() -> CheckResult:
     """c solves its cubic to 1e-12, lies below 22/19, and 1/(c-1) > 6.34."""
     rc = record_constants()
@@ -62,6 +75,7 @@ def check_record_constants() -> CheckResult:
     )
 
 
+@_gate("minimum consistency", 2.0)
 def check_minimum_consistency() -> CheckResult:
     """u(R0, T0) = c to 1e-10, with T0 the bracketed middle cubic root."""
     rc = record_constants()
@@ -80,6 +94,7 @@ def check_minimum_consistency() -> CheckResult:
     )
 
 
+@_gate("global optimizer", 2.0)
 def check_global_optimizer() -> CheckResult:
     """Grid + refinement recovers (R0, T0, c); no grid point undercuts c."""
     rc = record_constants()
@@ -104,6 +119,7 @@ def _max_abs(diff: np.ndarray) -> float:
     return float(np.max(np.abs(diff)))
 
 
+@_gate("hoholdt-jensen line", 2.0)
 def check_hj_specialization() -> CheckResult:
     """On the T = 1 line, u matches 7/6 + 8(|R| - 1/4)^2 to 1e-12."""
     r = np.linspace(-0.5, 0.5, 1000)
@@ -111,6 +127,7 @@ def check_hj_specialization() -> CheckResult:
     return CheckResult("hj-specialization", worst < 1e-12, f"max|diff|={worst:.2e}")
 
 
+@_gate("character-sum oracle", 60.0)
 def check_charsum_oracle() -> CheckResult:
     """Quadruple character sum equals the autocorrelation norm exactly."""
     checked = 0
@@ -133,6 +150,7 @@ def _decomposition_grid(primes: list[int]):
                 yield FeketeSpec(p, r, t)
 
 
+@_gate("five-term decomposition", 60.0)
 def check_decomposition() -> CheckResult:
     """Closed forms A=B, C, D leave a remainder that shrinks with p.
 
@@ -146,9 +164,7 @@ def check_decomposition() -> CheckResult:
         if exact != rep.A + rep.B + rep.C + rep.D + rep.E_actual or rep.A != rep.B:
             return CheckResult("decomposition", False, f"identity broken at {spec}")
         t, p = spec.t, spec.p
-        d_sum = -Fraction(2, p) * sum(
-            max(0, t - abs(t - 1 - n)) ** 2 for n in range(2 * t)
-        )
+        d_sum = -Fraction(2, p) * _window_sum_sq(t, 1, t - 1)
         if d_sum != rep.D or rep.D != Fraction(-2 * t * (2 * t * t + 1), 3 * p):
             return CheckResult("decomposition", False, f"D closed form broken at {spec}")
 
@@ -167,6 +183,7 @@ def check_decomposition() -> CheckResult:
     )
 
 
+@_gate("weil / square cases", 60.0)
 def check_weil_square_cases() -> CheckResult:
     """Exhaustive p <= 31: |L| <= 3 sqrt(p) off the square cases, which
     are exactly p-1 (quadruple root) or p-2 (two double roots)."""
@@ -188,6 +205,7 @@ def check_weil_square_cases() -> CheckResult:
     return CheckResult("weil-square-cases", True, f"{checked} triples within bounds")
 
 
+@_gate("gauss-sum identity", 30.0)
 def check_gauss_identity() -> CheckResult:
     """Character-sum residual below 1e-6 p for every p <= 101 and j."""
     worst = 0.0
@@ -197,6 +215,7 @@ def check_gauss_identity() -> CheckResult:
     return CheckResult("gauss-identity", worst < 1e-6, f"max residual/p={worst:.2e}")
 
 
+@_gate("exponential-sum bound", 120.0)
 def check_exponential_sum_bound() -> CheckResult:
     """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32."""
     worst = 0.0
@@ -215,31 +234,32 @@ def check_exponential_sum_bound() -> CheckResult:
     )
 
 
+@_gate("periodic lower bound", 30.0)
 def check_periodic_bound() -> CheckResult:
     """Every m-periodic sign sequence (m <= 6, t <= 24) meets the floor;
     the all-ones sequence attains it at m = 1."""
     for m in range(1, 7):
         for pattern in itertools.product((-1, 1), repeat=m):
             for t in range(1, 25):
-                seq = CoefficientSequence([pattern[j % m] for j in range(t)])
+                seq = [pattern[j % m] for j in range(t)]
                 if l4_norm_pow4(seq) < periodic_lower_bound(t, m):
                     return CheckResult(
                         "periodic-bound", False, f"floor broken m={m} t={t} {pattern}"
                     )
     for t in range(1, 25):
-        ones = CoefficientSequence([1] * t)
-        if l4_norm_pow4(ones) != periodic_lower_bound(t, 1):
+        if l4_norm_pow4([1] * t) != periodic_lower_bound(t, 1):
             return CheckResult("periodic-bound", False, f"all-ones equality broken t={t}")
     return CheckResult("periodic-bound", True, "3024 sequences ok, all-ones tight")
 
 
+@_gate("kernel equivalence", 30.0)
 def check_kernels() -> CheckResult:
     """Spectral and direct autocorrelation agree exactly on 1000 random
     sign sequences with lengths up to 2^14."""
     rng = np.random.RandomState(20260810)
     lengths = [2] * 300 + [3] * 300 + [17] * 300 + [1024] * 80 + [2**14] * 20
     for length in lengths:
-        seq = CoefficientSequence(rng.choice([-1, 1], size=length))
+        seq = rng.choice([-1, 1], size=length)
         if not (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all():
             return CheckResult("kernel-equality", False, f"mismatch at length {length}")
     return CheckResult("kernel-equality", True, "1000 sequences identical")
@@ -254,6 +274,7 @@ def _decreasing_trend(errors: list[float]) -> bool:
     return lagged and separated
 
 
+@_gate("convergence ladders", 30.0)
 def check_convergence() -> CheckResult:
     """8-prime ladders at (1/4, 1) and (R0, T0) trend down to < 2%."""
     rc = record_constants()
@@ -285,6 +306,7 @@ def _uniform(low, high, unit):
     return low + (high - low) * unit
 
 
+@_gate("region pieces", 2.0)
 def check_region_pieces() -> CheckResult:
     """Region dispatch, the fourth-cell closed form, and the symmetries
     of u hold at sampling density."""

@@ -71,10 +71,14 @@ def test_limit_lattice_windows_are_wide_enough():
         assert limit_l4_normalized(R, T) == pytest.approx(wide(R, T), abs=1e-12)
 
 
-@pytest.mark.parametrize("r,expected", [(0.25, 0.25), (0.75, 0.25), (-0.1, 0.4)])
+# R % 0.5 rounds a tiny negative R up to 0.5 itself
+@pytest.mark.parametrize(
+    "r,expected", [(0.25, 0.25), (0.75, 0.25), (-0.1, 0.4), (-1e-20, 0.0), (-1e-17, 0.0)]
+)
 def test_normalize_R_examples(r, expected):
     assert normalize_R(r) == pytest.approx(expected, abs=1e-15)
     assert 0.0 <= normalize_R(r) < 0.5
+    assert normalize_R(np.array([r])).tolist() == [normalize_R(r)]
 
 
 def test_normalize_R_preserves_u():
@@ -92,6 +96,7 @@ def test_region_classify_examples():
     assert region_classify(rc.R0, rc.T0) is Region.D4
     assert region_classify(0.25, 1.0) is Region.D3  # boundary tie, lowest index
     assert region_classify(0.0, 0.5) is Region.D1
+    assert region_classify(-1e-20, 1.0) is region_classify(0.0, 1.0) is Region.D1
     assert region_classify(0.3, 0.4) is Region.OUTSIDE
     assert region_classify(0.3, 1.6) is Region.OUTSIDE
 

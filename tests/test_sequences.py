@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feketelab.sequences import (
-    CoefficientSequence,
     FeketeSpec,
     KernelPrecisionError,
     autocorrelation_fast,
@@ -38,19 +38,35 @@ def test_spec_accepts_numpy_integers(itype):
     spec = FeketeSpec(itype(7), itype(-2), itype(3))
     assert spec == FeketeSpec(7, -2, 3)
     assert all(type(v) is int for v in (spec.p, spec.r, spec.t))
-    assert fekete_coeffs(spec) == fekete_coeffs(FeketeSpec(7, -2, 3))
+    assert np.array_equal(fekete_coeffs(spec), fekete_coeffs(FeketeSpec(7, -2, 3)))
 
 
 def test_coefficient_sequence_validation():
-    seq = CoefficientSequence([1, 0, -1])
-    assert len(seq) == 3 and not seq.is_littlewood
-    assert CoefficientSequence([1, -1]).is_littlewood
-    with pytest.raises(ValueError):
-        CoefficientSequence([])
-    with pytest.raises(ValueError):
-        CoefficientSequence([2, 1])
-    with pytest.raises(AttributeError):
-        seq.coeffs = None
+    # float, bool and str entries are rejected, not cast to integers
+    bad_inputs = [[0.5, 1], [1.9, -1], [True, False], ["1", "-1"], [[1, -1]], [], [2, 1]]
+    public = [
+        littlewoodize,
+        autocorrelation_naive,
+        autocorrelation_fast,
+        l2_norm_pow2,
+        l4_norm_pow4,
+        merit_factor,
+    ]
+    for fn in public:
+        for bad in bad_inputs:
+            with pytest.raises(ValueError):
+                fn(bad)
+    for good in ([1, 0, -1], np.uint8([1, 0]), np.int32([-1, 1])):
+        assert l2_norm_pow2(good) == np.count_nonzero(good)
+
+
+def test_fekete_and_littlewoodize_return_read_only_int8():
+    source = np.array([0, 1, -1], dtype=np.int64)
+    for out in (fekete_coeffs(FeketeSpec(7, 1, 12)), littlewoodize(source), littlewoodize([0])):
+        assert out.dtype == np.int8 and not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 1
+    assert source.tolist() == [0, 1, -1]
 
 
 @pytest.mark.parametrize(
@@ -62,18 +78,17 @@ def test_coefficient_sequence_validation():
     ],
 )
 def test_fekete_coeffs_examples(spec, expected):
-    assert fekete_coeffs(spec) == CoefficientSequence(expected)
+    assert fekete_coeffs(spec).tolist() == expected
 
 
 def test_fekete_coeffs_rotation_is_mod_p():
-    assert fekete_coeffs(FeketeSpec(7, -6, 7)) == fekete_coeffs(FeketeSpec(7, 1, 7))
-    assert fekete_coeffs(FeketeSpec(7, 1 + 7 * 10**12, 7)) == fekete_coeffs(
-        FeketeSpec(7, 1, 7)
-    )
+    expected = fekete_coeffs(FeketeSpec(7, 1, 7))
+    assert np.array_equal(fekete_coeffs(FeketeSpec(7, -6, 7)), expected)
+    assert np.array_equal(fekete_coeffs(FeketeSpec(7, 1 + 7 * 10**12, 7)), expected)
 
 
 def test_fekete_coeffs_periodic_extension():
-    long = fekete_coeffs(FeketeSpec(5, 2, 12)).coeffs
+    long = fekete_coeffs(FeketeSpec(5, 2, 12))
     assert (long[:5] == long[5:10]).all()
 
 
@@ -86,9 +101,7 @@ def test_fekete_coeffs_periodic_extension():
     ],
 )
 def test_littlewoodize_examples(before, after):
-    out = littlewoodize(CoefficientSequence(before))
-    assert out == CoefficientSequence(after)
-    assert out.is_littlewood
+    assert littlewoodize(before).tolist() == after
 
 
 def test_littlewoodize_touches_at_most_ceil_t_over_p_entries():
@@ -96,7 +109,7 @@ def test_littlewoodize_touches_at_most_ceil_t_over_p_entries():
         for r in range(p):
             for t in (1, p - 1, p, 2 * p, 3 * p + 1):
                 f = fekete_coeffs(FeketeSpec(p, r, t))
-                changed = int((f.coeffs == 0).sum())
+                changed = int((f == 0).sum())
                 assert changed <= math.ceil(t / p)
 
 
@@ -109,14 +122,14 @@ def test_littlewoodize_touches_at_most_ceil_t_over_p_entries():
     ],
 )
 def test_autocorrelation_naive_examples(coeffs, expected):
-    assert autocorrelation_naive(CoefficientSequence(coeffs)).tolist() == expected
+    assert autocorrelation_naive(coeffs).tolist() == expected
 
 
 def test_autocorrelation_profile_invariants():
     rng = np.random.RandomState(11)
     for _ in range(200):
         t = rng.randint(1, 60)
-        seq = CoefficientSequence(rng.choice([-1, 0, 1], size=t))
+        seq = rng.choice([-1, 0, 1], size=t)
         c = autocorrelation_naive(seq)
         assert c[0] == l2_norm_pow2(seq)
         assert all(abs(int(c[u])) <= t - u for u in range(t))
@@ -126,8 +139,22 @@ def test_autocorrelation_fast_equals_naive():
     rng = np.random.RandomState(5)
     # 1458 and 1563 pad to 2916 = 2^2 3^6 and 3125 = 5^5, not powers of two
     for t in (1, 2, 3, 17, 100, 1024, 1458, 1563, 2**14):
-        seq = CoefficientSequence(rng.choice([-1, 1], size=t))
+        seq = rng.choice([-1, 1], size=t)
         assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=300),
+    st.sampled_from([list, np.int64, np.int8]),
+)
+def test_kernels_agree_on_lists_and_integer_arrays(values, kind):
+    seq = values if kind is list else np.array(values, dtype=kind)
+    reference = np.array(values, dtype=np.int8)
+    expected = autocorrelation_naive(reference).tolist()
+    assert autocorrelation_fast(seq).tolist() == expected
+    assert autocorrelation_naive(seq).tolist() == expected
+    assert l4_norm_pow4(seq) == l4_norm_pow4(seq, kernel="naive") == l4_norm_pow4(reference)
 
 
 def test_smooth_length_matches_brute_force():
@@ -151,7 +178,7 @@ def test_autocorrelation_fast_all_ones_at_largest_ladder_length():
     # c_u = t - u is the largest |c_u| any length-t sign sequence can have
     t = 1_250_001
     assert _smooth_length(2 * t - 1) == 2_519_424 == 2**7 * 3**9
-    ones = CoefficientSequence(np.ones(t, dtype=np.int8))
+    ones = np.ones(t, dtype=np.int8)
     c = autocorrelation_fast(ones)
     assert c.dtype == np.int64
     assert (c == np.arange(t, 0, -1)).all()
@@ -171,7 +198,7 @@ def test_sum_squares_is_exact_past_int64():
 
 
 def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
-    seq = CoefficientSequence([1, 1, -1])
+    seq = [1, 1, -1]
     real_irfft = np.fft.irfft
 
     def noisy_irfft(*args, **kwargs):
@@ -190,9 +217,8 @@ def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
     ],
 )
 def test_l4_norm_pow4_examples(coeffs, expected):
-    seq = CoefficientSequence(coeffs)
-    assert l4_norm_pow4(seq) == expected
-    assert l4_norm_pow4(seq, kernel="naive") == expected
+    assert l4_norm_pow4(coeffs) == expected
+    assert l4_norm_pow4(coeffs, kernel="naive") == expected
 
 
 def test_l4_norm_pow4_fekete_example():
@@ -201,13 +227,13 @@ def test_l4_norm_pow4_fekete_example():
 
 def test_l4_norm_pow4_rejects_unknown_kernel():
     with pytest.raises(ValueError):
-        l4_norm_pow4(CoefficientSequence([1]), kernel="magic")
+        l4_norm_pow4([1], kernel="magic")
 
 
 def test_l4_at_least_l2_squared():
     rng = np.random.RandomState(23)
     for _ in range(200):
-        seq = CoefficientSequence(rng.choice([-1, 0, 1], size=rng.randint(1, 80)))
+        seq = rng.choice([-1, 0, 1], size=rng.randint(1, 80))
         assert l4_norm_pow4(seq) >= l2_norm_pow2(seq) ** 2
 
 
@@ -216,14 +242,14 @@ def test_l4_at_least_l2_squared():
     [([1, 1, -1], 3), ([0, 1, -1], 2), ([1] * 100, 100)],
 )
 def test_l2_norm_pow2_examples(coeffs, expected):
-    assert l2_norm_pow2(CoefficientSequence(coeffs)) == expected
+    assert l2_norm_pow2(coeffs) == expected
 
 
 def test_merit_factor_examples():
-    assert merit_factor(CoefficientSequence([1, 1, -1])) == pytest.approx(4.5)
-    assert merit_factor(CoefficientSequence([1, 1])) == pytest.approx(2.0)
+    assert merit_factor([1, 1, -1]) == pytest.approx(4.5)
+    assert merit_factor([1, 1]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        merit_factor(CoefficientSequence([1]))
+        merit_factor([1])
 
 
 @pytest.mark.parametrize(
@@ -268,7 +294,7 @@ def test_periodic_lower_bound_rejects_bad_args():
 
 def test_periodic_lower_bound_equals_all_ones_norm():
     for t in range(1, 30):
-        assert periodic_lower_bound(t, 1) == l4_norm_pow4(CoefficientSequence([1] * t))
+        assert periodic_lower_bound(t, 1) == l4_norm_pow4([1] * t)
 
 
 def test_littlewoodization_perturbation_bound():
