@@ -14,7 +14,7 @@ import json
 import sys
 
 from .asymptotics import minimize_u, ratio_limit_u, record_constants
-from .experiments import export_records, run_convergence
+from .experiments import export_records, run_convergence, sig15
 from .sequences import (
     FeketeSpec,
     KernelPrecisionError,
@@ -24,17 +24,13 @@ from .sequences import (
     littlewoodize,
     merit_factor,
 )
-from .suites import SUITES, run_suite
+from .suites import SUITES, check_minimum_consistency, check_record_constants, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_PRECISION = 3
 EXIT_INCONSISTENT = 4
-
-
-def _sig15(x: float) -> float:
-    return float(f"{x:.15g}")
 
 
 def cmd_norm(args) -> int:
@@ -61,20 +57,19 @@ def cmd_limit(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    rc = record_constants()
-    u_minus_c = ratio_limit_u(rc.R0, rc.T0) - rc.c
-    if not (rc.c < 22 / 19 and abs(u_minus_c) < 1e-10):
-        print(
-            f"internal consistency failure: c={rc.c!r} u(R0,T0)-c={u_minus_c!r}",
-            file=sys.stderr,
-        )
+    results = (check_record_constants(), check_minimum_consistency())
+    failed = [result for result in results if not result.passed]
+    for result in failed:
+        print(result.line(), file=sys.stderr)
+    if failed:
         return EXIT_INCONSISTENT
+    rc = record_constants()
     payload = {
-        "T0": _sig15(rc.T0),
-        "R0": _sig15(rc.R0),
-        "c": _sig15(rc.c),
-        "merit_factor_limit": _sig15(rc.merit_factor_limit),
-        "u_at_minimum_minus_c": _sig15(u_minus_c),
+        "T0": sig15(rc.T0),
+        "R0": sig15(rc.R0),
+        "c": sig15(rc.c),
+        "merit_factor_limit": sig15(rc.merit_factor_limit),
+        "u_at_minimum_minus_c": sig15(ratio_limit_u(rc.R0, rc.T0) - rc.c),
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

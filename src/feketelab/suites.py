@@ -1,14 +1,15 @@
 """Named verification suites behind `feketelab verify` and the acceptance tests.
 
-Each check pins its tolerances in place and returns a CheckResult; a
-suite is a tuple of checks.  The `all` suite is the full gate: every
-check below must pass for the build to be considered healthy, each
-within the time budget `_gate` attaches to it, and every other suite
-draws its checks from it.
+Each check is declared once, by `_gate`: its name (printed by `verify`,
+the acceptance tests' id), its time budget, and its pinned tolerances.
+A suite is a tuple of checks.  The `all` suite is the full gate: every
+check below must pass for the build to be considered healthy, and every
+other suite draws its checks from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,32 +52,40 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _gate(label: str, budget_s: float):
-    """Attach a check's acceptance-test label and its time budget in seconds."""
+def _gate(name: str, budget_s: float):
+    """Declare a check under its one name, with its time budget in seconds.
 
-    def attach(check):
-        check.label, check.budget_s = label, budget_s
+    The decorated body returns (passed, detail); the check that SUITES
+    holds wraps that pair in a CheckResult under `name`, and carries
+    `name` and `budget_s` as attributes.
+    """
+
+    def declare(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            passed, detail = body()
+            return CheckResult(name, passed, detail)
+
+        check.name, check.budget_s = name, budget_s
         return check
 
-    return attach
+    return declare
 
 
-@_gate("record constant", 2.0)
-def check_record_constants() -> CheckResult:
+@_gate("record-constant", 2.0)
+def check_record_constants() -> tuple[bool, str]:
     """c solves its cubic to 1e-12, lies below 22/19, and 1/(c-1) > 6.34."""
     rc = record_constants()
     residual = abs(27 * rc.c**3 - 498 * rc.c**2 + 1164 * rc.c - 722)
     ok = residual < 1e-12 and rc.c < 22 / 19 and rc.merit_factor_limit > 6.34
-    return CheckResult(
-        "record-constant",
-        ok,
+    return ok, (
         f"c={rc.c:.15g} residual={residual:.2e} 22/19-c={22 / 19 - rc.c:.3e} "
-        f"1/(c-1)={rc.merit_factor_limit:.6f}",
+        f"1/(c-1)={rc.merit_factor_limit:.6f}"
     )
 
 
-@_gate("minimum consistency", 2.0)
-def check_minimum_consistency() -> CheckResult:
+@_gate("minimum-consistency", 2.0)
+def check_minimum_consistency() -> tuple[bool, str]:
     """u(R0, T0) = c to 1e-10, with T0 the bracketed middle cubic root."""
     rc = record_constants()
     t_residual = abs(4 * rc.T0**3 - 30 * rc.T0 + 27)
@@ -87,15 +96,11 @@ def check_minimum_consistency() -> CheckResult:
         and abs(rc.R0 - (3 - 2 * rc.T0) / 4) < 1e-15
         and abs(u_minus_c) < 1e-10
     )
-    return CheckResult(
-        "minimum-consistency",
-        ok,
-        f"T0={rc.T0:.15g} R0={rc.R0:.15g} u(R0,T0)-c={u_minus_c:.2e}",
-    )
+    return ok, f"T0={rc.T0:.15g} R0={rc.R0:.15g} u(R0,T0)-c={u_minus_c:.2e}"
 
 
-@_gate("global optimizer", 2.0)
-def check_global_optimizer() -> CheckResult:
+@_gate("global-optimizer", 2.0)
+def check_global_optimizer() -> tuple[bool, str]:
     """Grid + refinement recovers (R0, T0, c); no grid point undercuts c."""
     rc = record_constants()
     step = 1 / 512
@@ -107,11 +112,9 @@ def check_global_optimizer() -> CheckResult:
         and abs(t_star - rc.T0) < 1e-6
         and grid_min >= rc.c - 1e-8
     )
-    return CheckResult(
-        "global-optimizer",
-        ok,
+    return ok, (
         f"|R*-R0|={abs(r_star - rc.R0):.2e} |T*-T0|={abs(t_star - rc.T0):.2e} "
-        f"|u*-c|={abs(u_star - rc.c):.2e} grid_min-c={grid_min - rc.c:.2e}",
+        f"|u*-c|={abs(u_star - rc.c):.2e} grid_min-c={grid_min - rc.c:.2e}"
     )
 
 
@@ -119,16 +122,16 @@ def _max_abs(diff: np.ndarray) -> float:
     return float(np.max(np.abs(diff)))
 
 
-@_gate("hoholdt-jensen line", 2.0)
-def check_hj_specialization() -> CheckResult:
+@_gate("hj-specialization", 2.0)
+def check_hj_specialization() -> tuple[bool, str]:
     """On the T = 1 line, u matches 7/6 + 8(|R| - 1/4)^2 to 1e-12."""
     r = np.linspace(-0.5, 0.5, 1000)
     worst = _max_abs(ratio_limit_u(r, 1.0) - hj_specialization(r))
-    return CheckResult("hj-specialization", worst < 1e-12, f"max|diff|={worst:.2e}")
+    return worst < 1e-12, f"max|diff|={worst:.2e}"
 
 
-@_gate("character-sum oracle", 60.0)
-def check_charsum_oracle() -> CheckResult:
+@_gate("charsum-oracle", 60.0)
+def check_charsum_oracle() -> tuple[bool, str]:
     """Quadruple character sum equals the autocorrelation norm exactly."""
     checked = 0
     for p in primes_in(3, 13):
@@ -136,11 +139,9 @@ def check_charsum_oracle() -> CheckResult:
             for t in range(1, 2 * p + 1):
                 spec = FeketeSpec(p, r, t)
                 if char_sum_l4(spec) != l4_norm_pow4(fekete_coeffs(spec)):
-                    return CheckResult(
-                        "charsum-oracle", False, f"mismatch at p={p} r={r} t={t}"
-                    )
+                    return False, f"mismatch at p={p} r={r} t={t}"
                 checked += 1
-    return CheckResult("charsum-oracle", True, f"{checked} specs equal exactly")
+    return True, f"{checked} specs equal exactly"
 
 
 def _decomposition_grid(primes: list[int]):
@@ -150,8 +151,8 @@ def _decomposition_grid(primes: list[int]):
                 yield FeketeSpec(p, r, t)
 
 
-@_gate("five-term decomposition", 60.0)
-def check_decomposition() -> CheckResult:
+@_gate("decomposition", 60.0)
+def check_decomposition() -> tuple[bool, str]:
     """Closed forms A=B, C, D leave a remainder that shrinks with p.
 
     The identity exact-norm = A+B+C+D+E and A=B are confirmed on the
@@ -162,11 +163,11 @@ def check_decomposition() -> CheckResult:
         rep = five_term_decomposition(spec)
         exact = Fraction(l4_norm_pow4(fekete_coeffs(spec)))
         if exact != rep.A + rep.B + rep.C + rep.D + rep.E_actual or rep.A != rep.B:
-            return CheckResult("decomposition", False, f"identity broken at {spec}")
+            return False, f"identity broken at {spec}"
         t, p = spec.t, spec.p
         d_sum = -Fraction(2, p) * _window_sum_sq(t, 1, t - 1)
         if d_sum != rep.D or rep.D != Fraction(-2 * t * (2 * t * t + 1), 3 * p):
-            return CheckResult("decomposition", False, f"D closed form broken at {spec}")
+            return False, f"D closed form broken at {spec}"
 
     def grid_max(primes):
         return max(
@@ -175,16 +176,11 @@ def check_decomposition() -> CheckResult:
         )
 
     small, large = grid_max([11, 23, 47]), grid_max([401, 809, 1601])
-    ok = large < small
-    return CheckResult(
-        "decomposition",
-        ok,
-        f"identity exact on p<=101 grid; max|E|/p^2 {small:.4f} -> {large:.4f}",
-    )
+    return large < small, f"identity exact on p<=101 grid; max|E|/p^2 {small:.4f} -> {large:.4f}"
 
 
-@_gate("weil / square cases", 60.0)
-def check_weil_square_cases() -> CheckResult:
+@_gate("weil-square-cases", 60.0)
+def check_weil_square_cases() -> tuple[bool, str]:
     """Exhaustive p <= 31: |L| <= 3 sqrt(p) off the square cases, which
     are exactly p-1 (quadruple root) or p-2 (two double roots)."""
     checked = 0
@@ -198,44 +194,36 @@ def check_weil_square_cases() -> CheckResult:
             else:
                 ok = abs(res.value) <= weil and res.error_term == res.value
             if not ok or res.value != res.main_term + res.error_term:
-                return CheckResult(
-                    "weil-square-cases", False, f"violation at p={p} ({a},{b},{c})"
-                )
+                return False, f"violation at p={p} ({a},{b},{c})"
             checked += 1
-    return CheckResult("weil-square-cases", True, f"{checked} triples within bounds")
+    return True, f"{checked} triples within bounds"
 
 
-@_gate("gauss-sum identity", 30.0)
-def check_gauss_identity() -> CheckResult:
+@_gate("gauss-identity", 30.0)
+def check_gauss_identity() -> tuple[bool, str]:
     """Character-sum residual below 1e-6 p for every p <= 101 and j."""
     worst = 0.0
     for p in primes_in(3, 101):
         for j in range(p):
             worst = max(worst, gauss_sum_residual(p, j) / p)
-    return CheckResult("gauss-identity", worst < 1e-6, f"max residual/p={worst:.2e}")
+    return worst < 1e-6, f"max residual/p={worst:.2e}"
 
 
-@_gate("exponential-sum bound", 120.0)
-def check_exponential_sum_bound() -> CheckResult:
+@_gate("exponential-sum-bound", 120.0)
+def check_exponential_sum_bound() -> tuple[bool, str]:
     """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32."""
     worst = 0.0
     for n in range(1, 25):
         for t in range(1, 33):
             res = technical_lemma_check(n, t)
             if not res.ok:
-                return CheckResult(
-                    "exponential-sum-bound",
-                    False,
-                    f"G={res.G:.3e} > bound at n={n} t={t}",
-                )
+                return False, f"G={res.G:.3e} > bound at n={n} t={t}"
             worst = max(worst, res.G / res.bound)
-    return CheckResult(
-        "exponential-sum-bound", True, f"768 pairs ok, max G/bound={worst:.4f}"
-    )
+    return True, f"768 pairs ok, max G/bound={worst:.4f}"
 
 
-@_gate("periodic lower bound", 30.0)
-def check_periodic_bound() -> CheckResult:
+@_gate("periodic-bound", 30.0)
+def check_periodic_bound() -> tuple[bool, str]:
     """Every m-periodic sign sequence (m <= 6, t <= 24) meets the floor;
     the all-ones sequence attains it at m = 1."""
     for m in range(1, 7):
@@ -243,17 +231,15 @@ def check_periodic_bound() -> CheckResult:
             for t in range(1, 25):
                 seq = [pattern[j % m] for j in range(t)]
                 if l4_norm_pow4(seq) < periodic_lower_bound(t, m):
-                    return CheckResult(
-                        "periodic-bound", False, f"floor broken m={m} t={t} {pattern}"
-                    )
+                    return False, f"floor broken m={m} t={t} {pattern}"
     for t in range(1, 25):
         if l4_norm_pow4([1] * t) != periodic_lower_bound(t, 1):
-            return CheckResult("periodic-bound", False, f"all-ones equality broken t={t}")
-    return CheckResult("periodic-bound", True, "3024 sequences ok, all-ones tight")
+            return False, f"all-ones equality broken t={t}"
+    return True, "3024 sequences ok, all-ones tight"
 
 
-@_gate("kernel equivalence", 30.0)
-def check_kernels() -> CheckResult:
+@_gate("kernel-equality", 30.0)
+def check_kernels() -> tuple[bool, str]:
     """Spectral and direct autocorrelation agree exactly on 1000 random
     sign sequences with lengths up to 2^14."""
     rng = np.random.RandomState(20260810)
@@ -261,8 +247,8 @@ def check_kernels() -> CheckResult:
     for length in lengths:
         seq = rng.choice([-1, 1], size=length)
         if not (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all():
-            return CheckResult("kernel-equality", False, f"mismatch at length {length}")
-    return CheckResult("kernel-equality", True, "1000 sequences identical")
+            return False, f"mismatch at length {length}"
+    return True, "1000 sequences identical"
 
 
 def _decreasing_trend(errors: list[float]) -> bool:
@@ -274,8 +260,8 @@ def _decreasing_trend(errors: list[float]) -> bool:
     return lagged and separated
 
 
-@_gate("convergence ladders", 30.0)
-def check_convergence() -> CheckResult:
+@_gate("convergence", 30.0)
+def check_convergence() -> tuple[bool, str]:
     """8-prime ladders at (1/4, 1) and (R0, T0) trend down to < 2%."""
     rc = record_constants()
     details = []
@@ -284,7 +270,7 @@ def check_convergence() -> CheckResult:
         errors = [rec.rel_err for rec in run_convergence(R, T, 100, 10_000, 8)]
         ok = ok and _decreasing_trend(errors) and errors[-1] < 0.02
         details.append(f"{label} final={errors[-1]:.2e}")
-    return CheckResult("convergence", ok, " ".join(details))
+    return ok, " ".join(details)
 
 
 # Samples drawn per chunk by check_region_pieces, to bound its temporaries.
@@ -306,19 +292,19 @@ def _uniform(low, high, unit):
     return low + (high - low) * unit
 
 
-@_gate("region pieces", 2.0)
-def check_region_pieces() -> CheckResult:
+@_gate("region-pieces", 2.0)
+def check_region_pieces() -> tuple[bool, str]:
     """Region dispatch, the fourth-cell closed form, and the symmetries
     of u hold at sampling density."""
     rc = record_constants()
     if region_classify(rc.R0, rc.T0) is not Region.D4:
-        return CheckResult("region-pieces", False, "(R0,T0) not in the fourth cell")
+        return False, "(R0,T0) not in the fourth cell"
     if region_classify(0.25, 1.0) is not Region.D3:
-        return CheckResult("region-pieces", False, "(1/4,1) boundary tie not lowest")
+        return False, "(1/4,1) boundary tie not lowest"
     if region_classify(0.0, 0.5) is not Region.D1:
-        return CheckResult("region-pieces", False, "(0,1/2) not in the first cell")
+        return False, "(0,1/2) not in the first cell"
     if region_classify(0.1, 2.0) is not Region.OUTSIDE:
-        return CheckResult("region-pieces", False, "T=2 not flagged outside")
+        return False, "T=2 not flagged outside"
 
     rng = np.random.RandomState(41)
     worst_u4 = 0.0
@@ -327,7 +313,7 @@ def check_region_pieces() -> CheckResult:
         r = _uniform(0.0, 1.5 - t, r)
         worst_u4 = max(worst_u4, _max_abs(u4_closed_form(r, t) - ratio_limit_u(r, t)))
     if worst_u4 >= 1e-12:
-        return CheckResult("region-pieces", False, f"u4 deviates {worst_u4:.2e}")
+        return False, f"u4 deviates {worst_u4:.2e}"
 
     worst_sym = 0.0
     for r, t in _uniform_chunks(rng, 10_000, 2):
@@ -338,9 +324,9 @@ def check_region_pieces() -> CheckResult:
         below = np.flatnonzero(u < 2 - 4 * t / 3 - 1e-12)
         if below.size:
             at = f"({float(r[below[0]])},{float(t[below[0]])})"
-            return CheckResult("region-pieces", False, f"lower bound broken at {at}")
+            return False, f"lower bound broken at {at}"
     if worst_sym >= 1e-10:
-        return CheckResult("region-pieces", False, f"half-period broken by {worst_sym:.2e}")
+        return False, f"half-period broken by {worst_sym:.2e}"
 
     worst_refl = 0.0
     for t, r, t2, r2 in _uniform_chunks(rng, 10_000, 4):
@@ -355,11 +341,9 @@ def check_region_pieces() -> CheckResult:
             worst_refl, _max_abs(ratio_limit_u(r, t) - ratio_limit_u(2.0 - r - t, t))
         )
     if worst_refl >= 1e-10:
-        return CheckResult("region-pieces", False, f"reflection broken by {worst_refl:.2e}")
-    return CheckResult(
-        "region-pieces",
-        True,
-        f"dispatch ok, u4 max dev={worst_u4:.2e}, symmetries to {max(worst_sym, worst_refl):.2e}",
+        return False, f"reflection broken by {worst_refl:.2e}"
+    return True, (
+        f"dispatch ok, u4 max dev={worst_u4:.2e}, symmetries to {max(worst_sym, worst_refl):.2e}"
     )
 
 

@@ -1,5 +1,5 @@
-"""Acceptance gate: one test per check of `SUITES["all"]`, each printing a
-pass/fail line and held to the time budget attached beside the check.
+"""Acceptance gate: one test per check of `SUITES["all"]`, each printing
+its verify line and held to the time budget declared beside the check.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; `feketelab verify --suite all` drives the same checks from the
@@ -12,7 +12,7 @@ import pytest
 
 from feketelab.suites import SUITES
 
-GATE = [(f"{i:02d} {check.label}", check) for i, check in enumerate(SUITES["all"], 1)]
+GATE = {f"{i:02d} {check.name}": check for i, check in enumerate(SUITES["all"], 1)}
 
 
 def test_every_suite_check_is_in_the_gate():
@@ -20,14 +20,23 @@ def test_every_suite_check_is_in_the_gate():
         assert set(checks) <= set(SUITES["all"]), name
 
 
-@pytest.mark.parametrize("label,check", GATE, ids=[label for label, _ in GATE])
-def test_acceptance_criterion(label, check):
+def test_gate_names_are_the_verify_line_contract():
+    assert [check.name for check in SUITES["all"]] == [
+        "record-constant", "minimum-consistency", "global-optimizer", "hj-specialization",
+        "charsum-oracle", "decomposition", "weil-square-cases", "gauss-identity",
+        "exponential-sum-bound", "periodic-bound", "kernel-equality", "convergence",
+        "region-pieces",
+    ]
+
+
+@pytest.mark.parametrize("case,check", GATE.items(), ids=list(GATE))
+def test_acceptance_criterion(case, check):
     start = time.perf_counter()
     result = check()
     elapsed = time.perf_counter() - start
-    status = "PASS" if result.passed else "FAIL"
-    line = f"ACCEPTANCE {label}: {status} [{elapsed:.2f}s] {result.detail}"
+    line = f"ACCEPTANCE {case} [{elapsed:.2f}s] {result.line()}"
     print(line)
+    assert result.name == check.name
     assert result.passed, line
     budget = check.budget_s
-    assert elapsed < budget, f"{label} exceeded its {budget:.0f}s budget: {elapsed:.2f}s"
+    assert elapsed < budget, f"{case} exceeded its {budget:.0f}s budget: {elapsed:.2f}s"

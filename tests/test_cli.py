@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from feketelab import suites
 from feketelab.cli import main
 
 
@@ -78,6 +79,16 @@ def test_constants_json(capsys):
     assert payload["c"] < 22 / 19
     assert payload["merit_factor_limit"] > 6.34
     assert abs(payload["u_at_minimum_minus_c"]) < 1e-10
+
+
+def test_constants_exits_4_when_the_record_checks_fail(capsys, monkeypatch):
+    moved = suites.record_constants()._replace(c=22 / 19)
+    monkeypatch.setattr(suites, "record_constants", lambda: moved)
+    code, out, err = run(capsys, "constants")
+    assert code == 4 and out == ""
+    first, second = err.splitlines()
+    assert first.startswith("FAIL record-constant: c=1.15789473684211 ")
+    assert second.startswith("FAIL minimum-consistency: ")
 
 
 def test_optimize_quick(capsys):
