@@ -201,27 +201,19 @@ def char_sum_l4(spec: FeketeSpec) -> int:
     Sums (  (j1+r)(j2+r)(j3+r)(j4+r) | p  ) over all index quadruples in
     [0, t) with j1 + j2 = j3 + j4, reducing the product mod p before the
     symbol is taken.  Independent of the autocorrelation route; the two
-    must agree exactly.  O(t^3), capped at t <= 64.
+    must agree exactly.  One broadcast over (j2, j3, j4), masked to
+    j1 = j3 + j4 - j2 in [0, t): O(t^3) work and memory, capped at t <= 64.
     """
     if spec.t > 64:
         raise ValueError(f"quadruple-sum oracle capped at t <= 64, got {spec.t}")
     p, t = spec.p, spec.t
     table = legendre_table(p)
     residue = (np.arange(t, dtype=np.int64) + spec.r % p) % p
-    total = 0
-    for j2 in range(t):
-        for j3 in range(t):
-            lo = max(0, j2 - j3)
-            hi = min(t, t + j2 - j3)
-            if lo >= hi:
-                continue
-            j4 = np.arange(lo, hi, dtype=np.int64)
-            j1 = j3 + j4 - j2
-            product = (
-                residue[j1] * residue[j2] % p * residue[j3] % p * residue[j4] % p
-            )
-            total += int(table[product].sum())
-    return total
+    j2, j3, j4 = np.ogrid[:t, :t, :t]
+    j1 = j3 + j4 - j2
+    inside = (j1 >= 0) & (j1 < t)
+    product = residue[j1 % t] * residue[j2] % p * residue[j3] % p * residue[j4] % p
+    return int(table[product].sum(where=inside))
 
 
 def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from feketelab import suites
 from feketelab.suites import SUITES
 
 GATE = {f"{i:02d} {check.name}": check for i, check in enumerate(SUITES["all"], 1)}
@@ -27,6 +28,24 @@ def test_gate_names_are_the_verify_line_contract():
         "exponential-sum-bound", "periodic-bound", "kernel-equality", "convergence",
         "region-pieces",
     ]
+
+
+def test_weil_check_reports_its_first_violation_in_lexicographic_order(monkeypatch):
+    real = suites.quartic_char_sum
+
+    def broken(a, b, c, p):
+        res = real(a, b, c, p)
+        if p == 7:
+            value = res.value.copy()
+            value[2, 5, 1] += 100
+            value[1, 6, 3] -= 100
+            res = res._replace(value=value, error_term=value - res.main_term)
+        return res
+
+    monkeypatch.setattr(suites, "quartic_char_sum", broken)
+    result = suites.check_weil_square_cases()
+    assert not result.passed
+    assert result.detail == "violation at p=7 (1,6,3)"
 
 
 @pytest.mark.parametrize("case,check", GATE.items(), ids=list(GATE))

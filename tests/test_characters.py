@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from feketelab import characters
 from feketelab.characters import (
     gauss_sum_residual,
     is_square_polynomial,
@@ -93,6 +95,43 @@ def test_legendre_reduces_inputs_mod_p():
     assert legendre(-5, 7) == legendre(2, 7)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "1", np.float64(2.0), np.True_, None])
+def test_scalar_arguments_must_be_integers(bad):
+    with pytest.raises(ValueError):
+        legendre(bad, 7)
+    for args in ((bad, 2, 3), (1, bad, 3), (1, 2, bad)):
+        with pytest.raises(ValueError):
+            is_square_polynomial(*args, 7)
+        with pytest.raises(ValueError):
+            quartic_char_sum(*args, 7)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([1.0, 2.0]), np.array([True, False]), np.array(["1", "2"]), [0.5, 1], [10**30]],
+)
+def test_array_arguments_need_an_integer_dtype(bad):
+    with pytest.raises(ValueError):
+        is_square_polynomial(bad, 0, 0, 7)
+    with pytest.raises(ValueError):
+        quartic_char_sum(0, bad, 0, 7)
+
+
+def test_any_integer_dtype_is_reduced_mod_p():
+    values = [0, 1, 5, 6, 100]
+    want = [quartic_char_sum(v, 2, 3, 7).value for v in values]
+    for dtype in (np.int8, np.uint8, np.int32, np.int64, np.uint64):
+        res = quartic_char_sum(np.array(values, dtype=dtype), 2, 3, 7)
+        assert res.value.tolist() == want
+    huge = np.array([2**64 - 1], dtype=np.uint64)
+    assert quartic_char_sum(huge, 2, 3, 7).value.tolist() == [
+        quartic_char_sum(2**64 - 1, 2, 3, 7).value
+    ]
+    assert quartic_char_sum(-1, 2, 3, 7) == quartic_char_sum(6, 2, 3, 7)
+    assert quartic_char_sum(np.int8(-1), 2, 3, 7) == quartic_char_sum(6, 2, 3, 7)
+    assert legendre(np.int8(-5), 7) == legendre(2, 7)
+
+
 @pytest.mark.parametrize(
     "p,j,tol",
     [(5, 0, 1e-9), (5, 1, 1e-9), (23, 7, 1e-6)],
@@ -149,6 +188,55 @@ def test_quartic_char_sum_matches_bruteforce_sampled():
             assert res.value == res.main_term + res.error_term
 
 
+def test_quartic_char_sum_at_a_large_prime():
+    p = 100_003
+    res = quartic_char_sum(1, 2, 3, p)
+    assert type(res.value) is int and type(res.is_square_case) is bool
+    assert res.value == quartic_sum_bruteforce(1, 2, 3, p)
+    assert abs(res.value) <= 3 * math.sqrt(p)
+
+
+def quartic_table(p):
+    a, b, c = np.ogrid[:p, :p, :p]
+    return quartic_char_sum(a, b, c, p)
+
+
+def test_quartic_char_sum_table_matches_bruteforce():
+    for p in primes_in(3, 13):
+        res = quartic_table(p)
+        assert res.value.shape == (p, p, p)
+        for a, b, c in itertools.product(range(p), repeat=3):
+            assert res.value[a, b, c] == quartic_sum_bruteforce(a, b, c, p)
+        assert (res.main_term == p * res.is_square_case).all()
+        assert (res.value == res.main_term + res.error_term).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 5000, 5 * 13**3])
+def test_quartic_sums_do_not_depend_on_the_block(monkeypatch, block):
+    """One x per block, or blocks that split the 13 values of x unevenly
+    (the table in steps of 2 or 5, the scalar in steps of 7), change
+    nothing."""
+    p = 13
+    want = quartic_table(p).value
+    scalar = quartic_char_sum(4, 9, 11, p).value
+    monkeypatch.setattr(characters, "_QUARTIC_BLOCK", block)
+    assert (quartic_table(p).value == want).all()
+    assert quartic_char_sum(4, 9, 11, p).value == scalar
+    row = quartic_char_sum(np.arange(5), 9, 11, p).value
+    assert row.tolist() == want[:5, 9, 11].tolist()
+
+
+def test_quartic_tables_are_symmetric():
+    """On every gate prime, L is invariant under permuting (a, b, c) and
+    under x -> x + a, which sends (a, b, c) to (-a, b - a, c - a)."""
+    for p in primes_in(3, 31):
+        L = quartic_table(p).value
+        for perm in itertools.permutations(range(3)):
+            assert (L.transpose(perm) == L).all()
+        a, b, c = np.ogrid[:p, :p, :p]
+        assert (L[-a % p, (b - a) % p, (c - a) % p] == L).all()
+
+
 def test_quartic_char_sum_p13_exhaustive_split():
     p = 13
     weil = 3 * math.sqrt(p)
@@ -174,9 +262,9 @@ def test_is_square_polynomial_examples(a, b, c, p, expected):
 
 def test_is_square_polynomial_matches_expansion_oracle():
     for p in (3, 5, 7, 11):
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    assert is_square_polynomial(a, b, c, p) == is_square_by_expansion(
-                        a, b, c, p
-                    )
+        a, b, c = np.ogrid[:p, :p, :p]
+        mask = is_square_polynomial(a, b, c, p)
+        assert mask.shape == (p, p, p) and mask.dtype == bool
+        for a, b, c in itertools.product(range(p), repeat=3):
+            assert is_square_polynomial(a, b, c, p) == is_square_by_expansion(a, b, c, p)
+            assert mask[a, b, c] == is_square_by_expansion(a, b, c, p)

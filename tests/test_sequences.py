@@ -19,6 +19,7 @@ from feketelab.sequences import (
     _smooth_length,
     _sum_squares,
 )
+from feketelab.characters import legendre_table
 from feketelab.primality import primes_in
 
 
@@ -270,6 +271,39 @@ def test_char_sum_l4_equals_autocorrelation_route():
             for t in range(1, 2 * p + 1):
                 spec = FeketeSpec(p, r, t)
                 assert char_sum_l4(spec) == l4_norm_pow4(fekete_coeffs(spec))
+
+
+def char_sum_l4_by_loop(spec):
+    """Oracle: the quadruple sum as a double loop over (j2, j3), with j4
+    vectorized over the range that keeps j1 = j3 + j4 - j2 in [0, t)."""
+    p, t = spec.p, spec.t
+    table = legendre_table(p)
+    residue = (np.arange(t, dtype=np.int64) + spec.r % p) % p
+    total = 0
+    for j2 in range(t):
+        for j3 in range(t):
+            lo = max(0, j2 - j3)
+            hi = min(t, t + j2 - j3)
+            if lo >= hi:
+                continue
+            j4 = np.arange(lo, hi, dtype=np.int64)
+            j1 = j3 + j4 - j2
+            product = (
+                residue[j1] * residue[j2] % p * residue[j3] % p * residue[j4] % p
+            )
+            total += int(table[product].sum())
+    return total
+
+
+def test_char_sum_l4_equals_the_loop_oracle():
+    specs = [
+        FeketeSpec(p, r, t)
+        for p in primes_in(3, 7)
+        for r in range(p)
+        for t in range(1, 2 * p + 1)
+    ]
+    for spec in specs + [FeketeSpec(61, 5, 64)]:
+        assert char_sum_l4(spec) == char_sum_l4_by_loop(spec)
 
 
 def test_char_sum_l4_rejects_oversize_t():
