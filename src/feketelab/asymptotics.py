@@ -31,6 +31,9 @@ FloatOrArray = Union[float, np.ndarray]
 
 # Largest length fraction accepted: the lattice sums take ~4T terms.
 T_MAX = 2.0**20
+# Smallest length fraction accepted: T*T stays a normal float, so
+# u = Phi / T^2 keeps full precision instead of dividing by an underflow.
+T_MIN = 2.0**-500
 # Smallest grid step minimize_u accepts: its scan takes ~1/(2 step^2) points.
 MIN_GRID_STEP = 2.0**-12
 # Grid points per block of the vectorized scan, to bound its temporaries.
@@ -38,7 +41,7 @@ _SCAN_BLOCK = 8192
 
 
 def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
-    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, 0 < T <= 2**20.
+    """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, T in [2**-500, 2**20].
 
     R and T are floats or float64 arrays (broadcast together); a float
     gives a float.  R is reduced mod 1/2 first (Phi shares u's
@@ -56,9 +59,11 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
         t_lo, t_hi = T.min(initial=1.0), T.max(initial=1.0)
     else:
         t_lo = t_hi = T
-    if not (0.0 < t_lo and t_hi <= T_MAX):
-        bad = t_hi if t_lo > 0.0 else t_lo
-        raise ValueError(f"length fraction T must be positive and at most 2**20, got {bad}")
+    if not (T_MIN <= t_lo and t_hi <= T_MAX):
+        bad = t_hi if t_lo >= T_MIN else t_lo
+        raise ValueError(
+            f"length fraction T must be positive, in [2**-500, 2**20], got {bad}"
+        )
     R = normalize_R(R)
     window = math.ceil(t_hi)
     # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R <= 1, for
@@ -284,7 +289,8 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
     the scan cannot miss the single smooth basin, and >= 2**-12 so the
     scan stays bounded), then coordinate descent with golden-section
     line searches on a window that halves each sweep until it drops
-    below refine_tol.  Returns (R*, T*, u*).
+    below refine_tol (positive and finite: a NaN or infinite tolerance
+    would skip the descent).  Returns (R*, T*, u*).
     In double precision the localization of the minimizer bottoms out
     near 1e-8 (value comparisons cannot resolve the flat quadratic
     bottom below that), far below the 1e-6 the verification suite
@@ -292,8 +298,10 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
     """
     if not MIN_GRID_STEP <= grid_step <= 1.0 / 64.0:
         raise ValueError(f"grid step must be in [2**-12, 1/64], got {grid_step}")
-    if refine_tol <= 0.0:
-        raise ValueError(f"refinement tolerance must be positive, got {refine_tol}")
+    if not (0.0 < refine_tol < math.inf):  # also rejects NaN
+        raise ValueError(
+            f"refinement tolerance must be positive and finite, got {refine_tol}"
+        )
 
     # The u-Hessian at the basin gives a coordinate-descent contraction
     # of ~0.43 per sweep, so halving the search window every sweep can

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_limit = sub.add_parser("limit", help="evaluate the limit ratio u(R, T)")
     p_limit.add_argument("--R", type=float, required=True, help="rotation fraction")
-    p_limit.add_argument("--T", type=float, required=True, help="length fraction in (0, 2**20]")
+    p_limit.add_argument("--T", type=float, required=True, help="length fraction in [2**-500, 2**20]")
     p_limit.set_defaults(func=cmd_limit)
 
     p_const = sub.add_parser("constants", help="record constants as JSON")
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="convergence ladder written to CSV/JSON")
     p_scan.add_argument("--R", type=float, required=True, help="rotation fraction")
-    p_scan.add_argument("--T", type=float, required=True, help="length fraction in (0, 2**20]")
+    p_scan.add_argument("--T", type=float, required=True, help="length fraction in [2**-500, 2**20]")
     p_scan.add_argument("--pmin", type=int, required=True, help="smallest prime target")
     p_scan.add_argument("--pmax", type=int, required=True, help="largest prime target")
     p_scan.add_argument("--count", type=int, default=8, help="number of primes")

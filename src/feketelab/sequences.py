@@ -3,7 +3,10 @@
 A length-t coefficient vector over {-1, 0, +1} stands for the polynomial
 sum_j f_j z^j.  On the unit circle its fourth-power L4 norm is the exact
 integer c_0^2 + 2 sum_{u>=1} c_u^2, where c_u are the aperiodic
-autocorrelations; all norm computations here stay in integer arithmetic.
+autocorrelations.  Every norm here is an exact integer: the spectral
+kernel rounds back to integers under a residual guard, and the direct
+kernel sums in floating point only where every partial sum is an integer
+the float type represents exactly.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 """
@@ -85,17 +88,26 @@ def littlewoodize(seq) -> np.ndarray:
     return _read_only(np.where(arr == 0, 1, arr).astype(np.int8, copy=False))
 
 
+# Largest length whose direct autocorrelation sums run in float32: every
+# integer of magnitude <= 2**24 is a float32.
+_FLOAT32_EXACT_MAX = 2**24
+
+
 def autocorrelation_naive(seq) -> np.ndarray:
     """Aperiodic autocorrelations c_u = sum_j f_j f_{j+u}, u = 0 .. t-1.
 
-    Direct O(t^2) integer summation; the reference kernel.
+    Direct O(t^2) summation with no transform; the reference kernel.  One
+    np.correlate call sums every lag in floating point, which is exact:
+    each product f_j f_{j+u} lies in {-1, 0, 1}, so every partial sum, in
+    whatever order the dot product adds, is an integer of magnitude <= t.
+    float32 represents every such integer while t <= 2**24, and float64
+    for any t that fits in memory.  Returns int64.
     """
-    f = _coefficients(seq).astype(np.int64)  # an int8 dot product would overflow
+    f = _coefficients(seq)
     t = f.size
-    out = np.empty(t, dtype=np.int64)
-    for u in range(t):
-        out[u] = np.dot(f[: t - u], f[u:])
-    return out
+    dtype = np.float32 if t <= _FLOAT32_EXACT_MAX else np.float64
+    g = f.astype(dtype)
+    return np.correlate(g, g, "full")[t - 1 :].astype(np.int64)
 
 
 def _smooth_numbers(limit: int) -> tuple[int, ...]:

@@ -241,7 +241,7 @@ def check_periodic_bound() -> tuple[bool, str]:
     return True, "3024 sequences ok, all-ones tight"
 
 
-@_gate("kernel-equality", 30.0)
+@_gate("kernel-equality", 5.0)
 def check_kernels() -> tuple[bool, str]:
     """Spectral and direct autocorrelation agree exactly on 1000 random
     sign sequences with lengths up to 2^14."""

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feketelab.asymptotics import (
     LENGTH_CUBIC,
     MIN_GRID_STEP,
     RECORD_CUBIC,
     T_MAX,
+    T_MIN,
     Region,
     hj_specialization,
     limit_l4_normalized,
@@ -215,6 +217,12 @@ def test_minimize_u_validates_arguments():
         minimize_u(float("nan"), 1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_minimize_u_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        minimize_u(1 / 64, tol)
+
+
 def test_restricted_minimum_on_unit_T_line():
     r_star = _golden_min(lambda x: ratio_limit_u(x, 1.0), 0.0, 0.5, 1e-12)
     assert abs(r_star - 0.25) < 1e-6
@@ -281,6 +289,18 @@ def test_T_above_the_bound_is_rejected():
             ratio_limit_u(np.array([1.0, 0.0]), np.array([1.0, T]))
     # below the bound large T still works: u(0, N) = 2N/3 + 1/N for integer N
     assert ratio_limit_u(0.0, 4096.0) == pytest.approx(2 * 4096 / 3 + 1 / 4096, rel=1e-12)
+
+
+def test_T_below_the_bound_is_rejected():
+    assert T_MIN == 2.0**-500
+    # T_MIN * (1 - 2**-53) is the float just below the bound
+    for T in (T_MIN * (1 - 2**-53), 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="2\\*\\*-500"):
+            ratio_limit_u(0.1, T)
+        with pytest.raises(ValueError, match="2\\*\\*-500"):
+            ratio_limit_u(np.array([0.1, 0.1]), np.array([1.0, T]))
+    # at the bound T*T is a normal float and u = 2 - 4T/3 rounds to 2
+    assert ratio_limit_u(0.1, T_MIN) == 2.0
 
 
 def _scalar_u(R, T):
@@ -387,3 +407,37 @@ def test_array_u_broadcasts_in_two_dimensions():
 def test_array_hj_matches_scalar_hj():
     r = np.linspace(-0.5, 0.5, 1001)
     assert np.array_equal(hj_specialization(r), [hj_specialization(x) for x in r.tolist()])
+
+
+# Property tests over the domains that check_region_pieces samples; the
+# lower bound is also tried from T_MIN up to 64.
+_R = st.floats(-2.0, 2.0)
+_T = st.floats(1e-3, 3.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_R, _T)
+def test_u_has_half_period_in_R(R, T):
+    assert abs(ratio_limit_u(R + 0.5, T) - ratio_limit_u(R, T)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(0.5, 1.0), _UNIT)
+def test_u_reflects_on_the_first_two_cells(T, s):
+    R = s * (1.0 - T)  # D1 u D2: T + R <= 1
+    assert abs(ratio_limit_u(R, T) - ratio_limit_u(1.0 - R - T, T)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.floats(1.0, 1.5), _UNIT)
+def test_u_reflects_on_the_last_two_cells(T, s):
+    lo = max(0.0, 1.5 - T)
+    R = lo + s * (0.5 - lo)  # D5 u D6: T + R >= 3/2
+    assert abs(ratio_limit_u(R, T) - ratio_limit_u(2.0 - R - T, T)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_R, st.one_of(_T, st.floats(T_MIN, 64.0)))
+def test_u_is_at_least_two_minus_four_thirds_T(R, T):
+    assert ratio_limit_u(R, T) >= 2 - 4 * T / 3 - 1e-12

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feketelab import suites
 from feketelab.cli import main
@@ -108,6 +112,19 @@ def test_optimize_rejects_too_fine_grid(capsys):
     assert code == 2 and "grid step" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_optimize_rejects_non_finite_tolerance(capsys, tol):
+    code, out, err = run(capsys, "optimize", "--grid-step", "0.015625", f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "tolerance" in err and "Traceback" not in err
+
+
+def test_limit_rejects_T_below_the_bound(capsys):
+    code, out, err = run(capsys, "limit", "--R", "0.1", "--T", "1e-300")
+    assert code == 2 and out == ""
+    assert "2**-500" in err
+
+
 def test_scan_writes_csv(tmp_path, capsys):
     out_file = tmp_path / "runs.csv"
     code, out, _ = run(
@@ -186,3 +203,68 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert run(capsys, "norm", "--p", "7")[0] == 2
+
+
+# Property: whatever the arguments, the CLI answers or exits cleanly with a
+# documented code, and never lets an exception escape as a traceback.  Sizes
+# stay small: p <= 200, t <= 300, |T| <= 1000, grid steps no finer than 1/64.
+_NUMBERS = st.one_of(
+    st.floats(-1000.0, 1000.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1e-300", "5e-324", "1e300", "x", ""]),
+)
+_INTEGERS = st.one_of(
+    st.integers(-5, 300).map(str),
+    st.sampled_from(["-99999999999999999999999", "2.5", "x", ""]),
+)
+
+
+def _flags(**values):
+    return st.fixed_dictionaries(values).map(
+        lambda chosen: [f"--{name.replace('_', '-')}={value}" for name, value in chosen.items()]
+    )
+
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["norm"]),
+        _flags(p=st.integers(-3, 200).map(str), r=_INTEGERS, t=st.integers(-2, 300).map(str)),
+        st.lists(st.sampled_from(["--naive", "--fast", "--raw", "--littlewood"]), max_size=2),
+    ),
+    st.tuples(st.just(["limit"]), _flags(R=_NUMBERS, T=_NUMBERS)),
+    st.tuples(
+        st.just(["optimize"]),
+        _flags(
+            grid_step=st.sampled_from(["0.015625", "0.5", "1e-4", "nan", "-1", "x"]),
+            tol=st.one_of(
+                _NUMBERS, st.floats(allow_nan=True, allow_infinity=True).map(repr)
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just(["scan"]),
+        _flags(
+            R=_NUMBERS,
+            T=_NUMBERS,
+            pmin=st.integers(-5, 100).map(str),
+            pmax=st.integers(-5, 200).map(str),
+            count=st.integers(-1, 5).map(str),
+        ),
+        st.lists(st.sampled_from(["--format=csv", "--format=json", "--format=xml"]), max_size=1),
+    ),
+    st.tuples(st.just(["constants"])),
+    st.tuples(st.just(["verify", "--suite"]), st.lists(st.sampled_from(["bogus", ""]), max_size=1)),
+    st.tuples(st.lists(st.sampled_from(["--help", "frobnicate", "-x", "--"]), max_size=2)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ARGV)
+def test_cli_never_prints_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[:1] == ["scan"]:
+            argv = argv + [f"--out={tmp}/runs.csv"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

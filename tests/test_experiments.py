@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feketelab.experiments import (
     export_records,
@@ -117,6 +118,16 @@ def test_prime_ladder_shape():
     rungs = prime_ladder(100, 10_000, 8)
     assert len(rungs) == 8
     assert rungs[0] == 101
+    assert all(is_prime(p) for p in rungs)
+    assert all(b > a for a, b in zip(rungs, rungs[1:]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(3, 10**5), st.integers(0, 10**5), st.integers(1, 30))
+def test_prime_ladder_is_strictly_increasing_primes(p_lo, width, count):
+    rungs = prime_ladder(p_lo, p_lo + width, count)
+    assert len(rungs) == count
+    assert rungs[0] >= p_lo
     assert all(is_prime(p) for p in rungs)
     assert all(b > a for a, b in zip(rungs, rungs[1:]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feketelab import sequences
 from feketelab.sequences import (
     FeketeSpec,
     KernelPrecisionError,
@@ -142,6 +143,62 @@ def test_autocorrelation_fast_equals_naive():
     for t in (1, 2, 3, 17, 100, 1024, 1458, 1563, 2**14):
         seq = rng.choice([-1, 1], size=t)
         assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+def autocorrelation_by_loop(seq):
+    """Oracle: the direct sum as one int64 dot product per lag."""
+    f = np.asarray(seq).astype(np.int64)
+    t = f.size
+    out = np.empty(t, dtype=np.int64)
+    for u in range(t):
+        out[u] = np.dot(f[: t - u], f[u:])
+    return out
+
+
+def test_autocorrelation_naive_equals_the_loop_oracle():
+    rng = np.random.RandomState(13)
+    for t in list(range(1, 65)) + [1024, 1458, 1563, 2**14]:
+        seq = rng.choice([-1, 0, 1], size=t)
+        c = autocorrelation_naive(seq)
+        assert c.dtype == np.int64
+        assert (c == autocorrelation_by_loop(seq)).all()
+
+
+def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
+    rng = np.random.RandomState(17)
+    signed = rng.choice([-1, 0, 1], size=300)
+    unsigned = rng.choice([0, 1], size=300)
+    cases = [
+        (signed.tolist(), signed),
+        (signed.astype(np.int8), signed),
+        (signed.astype(np.int64), signed),
+        (unsigned.astype(np.uint8), unsigned),
+    ]
+    for seq, reference in cases:
+        c = autocorrelation_naive(seq)
+        assert c.dtype == np.int64
+        assert (c == autocorrelation_by_loop(reference)).all()
+
+
+def test_autocorrelation_naive_float64_branch(monkeypatch):
+    # Lower the float32 bound so short vectors take the float64 branch,
+    # and record the dtype each np.correlate call sums in.
+    monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", 8)
+    seen = []
+    correlate = np.correlate
+
+    def spy(a, v, mode):
+        seen.append(a.dtype)
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    rng = np.random.RandomState(19)
+    for t in (1, 8, 9, 64, 1024, 1563):
+        seq = rng.choice([-1, 0, 1], size=t)
+        c = autocorrelation_naive(seq)
+        assert c.dtype == np.int64
+        assert (c == autocorrelation_by_loop(seq)).all()
+    assert seen == [np.float32, np.float32] + [np.float64] * 4
 
 
 @settings(max_examples=150, deadline=None, database=None)
