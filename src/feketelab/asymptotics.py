@@ -7,8 +7,8 @@ Littlewood-ized sequence tends to
                         +   sum_n max(0, T - |T + 2R - n|)^2,
 
 and u(R, T) = Phi(R, T) / T^2 is the limit of ||g||_4^4 / ||g||_2^4.
-Both lattice sums have finite support and are evaluated exactly over
-explicit index windows.  u is invariant under R -> R + 1/2, and on the
+Both lattice sums have finite support and are summed in closed form, in
+constant time for any T.  u is invariant under R -> R + 1/2, and on the
 box D = [0, 1/2] x [1/2, 3/2] it is piecewise rational over six closed
 regions; its unique global minimum is the smallest root of
 27x^3 - 498x^2 + 1164x - 722.
@@ -29,7 +29,8 @@ RECORD_CUBIC = (27.0, -498.0, 1164.0, -722.0)
 
 FloatOrArray = Union[float, np.ndarray]
 
-# Largest length fraction accepted: the lattice sums take ~4T terms.
+# Largest length fraction accepted: the range where the closed form is tested
+# against exact lattice sums (relative error <= 1e-15); u matters near T = 1.
 T_MAX = 2.0**20
 # Smallest length fraction accepted: T*T stays a normal float, so
 # u = Phi / T^2 keeps full precision instead of dividing by an underflow.
@@ -45,12 +46,13 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
 
     R and T are floats or float64 arrays (broadcast together); a float
     gives a float.  R is reduced mod 1/2 first (Phi shares u's
-    half-period), so large |R| cannot cancel against T in the lattice
-    window.  This is the one lattice-sum body for both routes, written
-    with + - * / abs % only (squares as products, max(0, d) as
-    (d + |d|)/2), so an array element and the same float give
-    bit-identical values.  The window is ceil of the largest T; the terms
-    it adds for smaller T are exact zeros.
+    half-period), so large |R| cannot cancel against T.  Both lattice
+    sums, sum_n max(0, T - |x - n|)^2 at x = 0 and x = T + 2R, are summed
+    in closed form in K = floor(T), f = T - K and the distance y from
+    T + 2R to the nearest n + 1/2.  This is the one body for both
+    routes, written with + - * / abs only (squares as products, max(0, d)
+    as (d + |d|)/2) after one exact floor, so an array element and the
+    same float give bit-identical values.
     """
     if isinstance(R, np.ndarray) or isinstance(T, np.ndarray):
         R = np.asarray(R, dtype=np.float64)
@@ -65,21 +67,17 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
             f"length fraction T must be positive, in [2**-500, 2**20], got {bad}"
         )
     R = normalize_R(R)
-    window = math.ceil(t_hi)
-    # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R <= 1, for
-    # n <= 0 and n >= 2T + 1 in the second.
-    first = 0.0
-    for n in range(1 - window, window):
-        d = T - abs(n)
-        d = (d + abs(d)) * 0.5
-        first += d * d
-    second = 0.0
-    center = T + 2.0 * R
-    for n in range(1, 2 * window + 1):
-        d = T - abs(center - n)
-        d = (d + abs(d)) * 0.5
-        second += d * d
-    return -4.0 * (T * T * T) / 3.0 + 2.0 * first + second
+    # Floor of T, exact for T > 0; numpy's float % costs ~28x np.floor.
+    K = np.floor(T) if isinstance(T, np.ndarray) else T - T % 1.0
+    f = T - K
+    # T + 2R sits y away from the nearest n + 1/2 (0 <= 2R < 1).
+    y = abs(abs(f + 2.0 * R - 1.0) - 0.5)
+    lo, hi = f - 0.5 - y, f - 0.5 + y
+    lo, hi = (lo + abs(lo)) * 0.5, (hi + abs(hi)) * 0.5
+    # 3 Phi: no term is negative (K >= 0, 0 <= f < 1), so nothing cancels,
+    # and one division rounds an exact numerator correctly.
+    cubic = K * (K * (2.0 * K + 6.0 * f) + 6.0 * (f * f + y * y) + 1.5)
+    return (cubic + (f * f) * (6.0 - 4.0 * f) + 3.0 * (hi * hi + lo * lo)) / 3.0
 
 
 def ratio_limit_u(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:

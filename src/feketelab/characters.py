@@ -33,21 +33,37 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+# Building a table peaks at 5 bytes per residue: the int8 table plus one
+# int64 index for each of the (p - 1)/2 nonzero squares.  A 256 MiB build
+# caps p at about 5.4e7, so p ~ 1e7 (50 MB) stays well inside.
+_TABLE_BYTES_PER_RESIDUE = 5
+LEGENDRE_TABLE_MAX_P = 2**28 // _TABLE_BYTES_PER_RESIDUE
+
+
 # A scan round uses 12 primes, each up to four times in a row; 16 tables of
-# p bytes each bound the cache at 16 MB for p ~ 1e6.
+# p bytes each bound the cache at 16 MB for p ~ 1e6, and at 860 MB for
+# p up to LEGENDRE_TABLE_MAX_P.
 @lru_cache(maxsize=16)
 def legendre_table(p: int) -> np.ndarray:
     """Read-only int8 table of (x|p) for 0 <= x < p.
 
     Built by enumerating the nonzero squares mod p, k^2 for 1 <= k <=
     (p-1)/2 (since (p-k)^2 = k^2); must agree with legendre() everywhere
-    (checked exhaustively for p <= 101 in the test suite).
+    (checked exhaustively for p <= 101 in the test suite).  A prime above
+    LEGENDRE_TABLE_MAX_P raises ValueError before anything is allocated.
     """
     require_odd_prime(p)
+    if p > LEGENDRE_TABLE_MAX_P:
+        raise ValueError(
+            f"modulus {p} is too large for a Legendre table: at most "
+            f"{LEGENDRE_TABLE_MAX_P} ({_TABLE_BYTES_PER_RESIDUE} bytes per residue)"
+        )
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
-    k = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    table[k * k % p] = 1
+    squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    squares *= squares
+    squares %= p
+    table[squares] = 1
     table.setflags(write=False)
     return table
 

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,7 @@ from feketelab.asymptotics import (
     _golden_min,
     _grid_scan,
 )
+from feketelab.sequences import _window_sum_sq
 
 # Frozen from the bisection oracle; cross-checked below against the
 # companion-matrix roots.
@@ -59,18 +64,52 @@ def test_limit_reduces_large_R():
     assert ratio_limit_u(-(2.0**60), 0.75) == ratio_limit_u(0.0, 0.75)
 
 
-def test_limit_lattice_windows_are_wide_enough():
-    # widening the windows further must not change the value
-    def wide(R, T):
-        first = sum(max(0.0, T - abs(n)) ** 2 for n in range(-50, 51))
-        second = sum(max(0.0, T - abs(T + 2 * R - n)) ** 2 for n in range(-50, 51))
-        return -4 * T**3 / 3 + 2 * first + second
+def limit_by_lattice_loops(R, T):
+    """Phi(R, T) for floats, as the two lattice sums over explicit windows."""
+    R = normalize_R(R)
+    window = math.ceil(T)
+    # Terms vanish for |n| >= T in the first sum and, as 0 <= 2R < 1, for
+    # n <= 0 and n >= 2T + 1 in the second.
+    first = 0.0
+    for n in range(1 - window, window):
+        d = max(0.0, T - abs(n))
+        first += d * d
+    second = 0.0
+    center = T + 2.0 * R
+    for n in range(1, 2 * window + 1):
+        d = max(0.0, T - abs(center - n))
+        second += d * d
+    return -4.0 * (T * T * T) / 3.0 + 2.0 * first + second
 
+
+def test_limit_matches_the_lattice_loop_oracle():
     rng = np.random.RandomState(2)
     for _ in range(500):
         R = rng.uniform(-3, 3)
         T = rng.uniform(0.05, 3.0)
-        assert limit_l4_normalized(R, T) == pytest.approx(wide(R, T), abs=1e-12)
+        assert limit_l4_normalized(R, T) == pytest.approx(
+            limit_by_lattice_loops(R, T), abs=1e-12
+        )
+
+
+def test_limit_equals_the_exact_lattice_sums_at_dyadic_points():
+    # With p = 2**k, T = t/p and R = r/(2p), both floats exactly:
+    # p^2 Phi = -4t^3/(3p) + 2 W(t, p) + W(t, p, t + r), W = _window_sum_sq.
+    rng = random.Random(61)
+    points = [(2**20, 0, 1), (2**22 + 5, 3, -6)]  # T_MAX and 2**19 + 5/8
+    for e in range(-20, 15):  # two points in each octave [2**e, 2**(e+1))
+        for _ in range(2):
+            k = rng.randint(max(0, -e), 32)
+            t = rng.randrange(2 ** (e + k), 2 ** (e + k + 1))
+            points.append((t, k, rng.randrange(-(2 ** (k + 3)), 2 ** (k + 3))))
+    for t, k, r in points:
+        p = 2**k
+        T, R = t / p, r / (2 * p)
+        assert T_MIN <= T <= T_MAX
+        exact = (
+            Fraction(-4 * t**3, 3 * p) + 2 * _window_sum_sq(t, p) + _window_sum_sq(t, p, t + r)
+        ) / p**2
+        assert abs(Fraction(limit_l4_normalized(R, T)) - exact) <= Fraction(1e-15) * exact
 
 
 # R % 0.5 rounds a tiny negative R up to 0.5 itself
@@ -318,6 +357,10 @@ def test_array_u_equals_scalar_u_bit_for_bit():
     assert np.array_equal(
         phi, [limit_l4_normalized(r, t) for r, t in zip(R[:5000].tolist(), T[:5000].tolist())]
     )
+    # one element at the largest T changes neither the others nor the cost
+    T = T[:5000].copy()
+    T[1234] = T_MAX
+    assert np.array_equal(ratio_limit_u(R[:5000], T), _scalar_u(R[:5000], T))
 
 
 def test_array_u4_equals_scalar_u4_bit_for_bit():

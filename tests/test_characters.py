@@ -76,6 +76,17 @@ def test_legendre_table_cache_is_bounded():
     assert info.currsize == info.maxsize
 
 
+def test_legendre_table_modulus_bound(monkeypatch):
+    # p ~ 1e7 stays well inside the real bound
+    assert characters.LEGENDRE_TABLE_MAX_P >= 5 * 10**7
+    monkeypatch.setattr(characters, "LEGENDRE_TABLE_MAX_P", 101)
+    legendre_table.cache_clear()
+    assert legendre_table(101).size == 101
+    with pytest.raises(ValueError, match="too large for a Legendre table"):
+        legendre_table(103)
+    assert legendre_table.cache_info().currsize == 1
+
+
 def test_legendre_multiplicativity_exhaustive():
     for p in primes_in(3, 101):
         table = legendre_table(p)

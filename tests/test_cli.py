@@ -42,6 +42,14 @@ def test_norm_rejects_composite_modulus(capsys):
     assert "odd prime" in err
 
 
+def test_norm_rejects_a_modulus_too_large_for_its_table(capsys):
+    # a prime below 2**63: its Legendre table would take 8 EiB
+    code, out, err = run(capsys, "norm", "--p", "9223372036854775783", "--t", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Legendre table" in err
+    assert "Traceback" not in err
+
+
 def test_norm_degenerate_merit_factor(capsys):
     code, out, _ = run(capsys, "norm", "--p", "3", "--r", "1", "--t", "1")
     assert code == 0
