@@ -18,11 +18,11 @@ from .experiments import export_records, run_convergence, sig15
 from .sequences import (
     FeketeSpec,
     KernelPrecisionError,
+    _merit_factor,
     fekete_coeffs,
     l2_norm_pow2,
     l4_norm_pow4,
     littlewoodize,
-    merit_factor,
 )
 from .suites import SUITES, check_minimum_consistency, check_record_constants, run_suite
 
@@ -45,7 +45,7 @@ def cmd_norm(args) -> int:
     print(f"l4_pow4: {l4}")
     print(f"l4_over_l2: {l4**0.25 / l2**0.5!r}")
     try:
-        print(f"merit_factor: {merit_factor(seq)!r}")
+        print(f"merit_factor: {_merit_factor(l2, l4)!r}")
     except ValueError:
         print("merit_factor: undefined (l4_pow4 equals l2_pow2 squared)")
     return EXIT_OK

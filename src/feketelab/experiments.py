@@ -140,8 +140,8 @@ def _round_half_away(x: float) -> int:
 def prime_ladder(p_lo: int, p_hi: int, count: int) -> list[int]:
     """count geometrically spaced targets in [p_lo, p_hi], each snapped
     to the nearest prime above (so the top rung may exceed p_hi)."""
-    if not (3 <= p_lo <= p_hi):
-        raise ValueError(f"need 3 <= p_lo <= p_hi, got [{p_lo}, {p_hi}]")
+    if not (3 <= p_lo <= p_hi < 2**63):
+        raise ValueError(f"need 3 <= p_lo <= p_hi < 2^63, got [{p_lo}, {p_hi}]")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     ratio = p_hi / p_lo
@@ -163,25 +163,31 @@ def run_convergence(
     For each prime the rotation and length are the nearest integers to
     R*p and T*p (half away from zero, length at least 1), the sequence
     is Littlewood-ized, and its exact fourth-power norm is divided by
-    t^2.  Records are ordered by p.
+    t^2.  Records are ordered by p.  A top rung longer than
+    sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
     if T <= 0:
         raise ValueError(f"length fraction T must be positive, got {T}")
     if count < 2:
         raise ValueError(f"need count >= 2, got {count}")
     limit = ratio_limit_u(R, T)
+    # Every spec is validated, the top rung's length against MAX_LENGTH
+    # included, before the first rung allocates anything.
+    specs = [
+        FeketeSpec(p, _round_half_away(R * p), max(1, _round_half_away(T * p)))
+        for p in prime_ladder(p_lo, p_hi, count)
+    ]
     records = []
-    for p in prime_ladder(p_lo, p_hi, count):
-        r = _round_half_away(R * p)
-        t = max(1, _round_half_away(T * p))
-        g = littlewoodize(fekete_coeffs(FeketeSpec(p, r, t)))
+    for spec in specs:
+        t = spec.t
+        g = littlewoodize(fekete_coeffs(spec))
         l4 = l4_norm_pow4(g, kernel="fast")
         ratio4 = l4 / t**2
         abs_err = abs(ratio4 - limit)
         records.append(
             ExperimentRecord(
-                p=p,
-                r=r,
+                p=spec.p,
+                r=spec.r,
                 t=t,
                 l4_pow4=l4,
                 ratio4=ratio4,

@@ -9,6 +9,12 @@ kernel sums in floating point only where every partial sum is an integer
 the float type represents exactly.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
+
+Memory: the spectral kernel holds three full-length arrays, the rfft
+spectrum, the irfft output and the int64 result, plus pocketfft's own
+scratch inside each transform; an exact norm at t ~ 1e7 peaks near 70
+bytes of RSS per coefficient.  FeketeSpec caps t at MAX_LENGTH, so a
+length is rejected before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -22,13 +28,19 @@ from .characters import legendre_table
 from .primality import as_int, require_odd_prime
 
 
+# Longest sequence a FeketeSpec accepts: 2**25 = 33,554,432 coefficients,
+# about 2.3 GB of peak RSS for one exact norm at ~70 bytes per coefficient.
+MAX_LENGTH = 2**25
+
+
 class KernelPrecisionError(ArithmeticError):
     """Spectral autocorrelation failed to round back to exact integers."""
 
 
 @dataclass(frozen=True)
 class FeketeSpec:
-    """Construction parameters: odd prime p, rotation r (any sign), length t >= 1.
+    """Construction parameters: odd prime p, rotation r (any sign) and
+    length 1 <= t <= MAX_LENGTH.
 
     Coefficient j of the resulting sequence is the Legendre symbol
     (j + r | p), so the base sequence of length p is cyclically rotated
@@ -46,6 +58,10 @@ class FeketeSpec:
         t = as_int(self.t, "length")
         if t < 1:
             raise ValueError(f"length must be a positive integer, got {t!r}")
+        if t > MAX_LENGTH:
+            raise ValueError(
+                f"length {t} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
+            )
         object.__setattr__(self, "t", t)
 
 
@@ -136,25 +152,53 @@ def _smooth_length(m: int) -> int:
     return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, m)]
 
 
+# Values rounded per step of autocorrelation_fast: a 512 KiB float64 block,
+# small beside the full-length arrays and long enough to amortize the loop.
+_ROUND_BLOCK = 2**16
+
+
 def autocorrelation_fast(seq) -> np.ndarray:
     """Same integer output as autocorrelation_naive in O(t log t).
 
     Spectral convolution of the sequence with its reversal, zero-padded
-    to the smallest 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError if
-    any value fails to round cleanly to an integer (residual >= 1e-3).
+    to the smallest n = 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError
+    if any value fails to round cleanly to an integer (residual >= 1e-3).
+
+    Memory: only three full-length arrays exist, the complex spectrum
+    (8n bytes), the irfft output (8n) and the int64 result (8t).  The
+    spectrum is dropped before the result is allocated, so the peak is
+    about 16n bytes, 32t to 34t for t >= 1000, plus pocketfft's own
+    scratch inside each transform.  The power spectrum is formed in
+    place and handed to irfft as a complex array with zero imaginary
+    parts, so irfft makes no complex copy of a real input; the output is
+    rounded in blocks of _ROUND_BLOCK values.  The float operations are
+    those of re**2 + im**2 followed by a real irfft, so the values and
+    the residual do not depend on this layout.
     """
     f = _coefficients(seq)
     t = f.size
     n = _smooth_length(2 * t - 1)
     spectrum = np.fft.rfft(f, n)
-    corr = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n)[:t]
-    rounded = np.rint(corr)
-    residual = float(np.abs(corr - rounded).max())
+    parts = spectrum.view(np.float64)
+    re, im = parts[0::2], parts[1::2]
+    np.square(parts, out=parts)
+    np.add(re, im, out=re)
+    im.fill(0.0)
+    corr = np.fft.irfft(spectrum, n)[:t]
+    del spectrum, parts, re, im
+    out = np.empty(t, dtype=np.int64)
+    for start in range(0, t, _ROUND_BLOCK):
+        # Each block is overwritten by its own |c - rint(c)|.
+        block = corr[start : start + _ROUND_BLOCK]
+        rounded = np.rint(block)
+        out[start : start + _ROUND_BLOCK] = rounded
+        np.abs(np.subtract(block, rounded, out=block), out=block)
+    residual = float(corr.max())
     if residual >= 1e-3:
         raise KernelPrecisionError(
             f"autocorrelation rounding residual {residual:.3e} at length {t}"
         )
-    return rounded.astype(np.int64)
+    return out
 
 
 def l2_norm_pow2(seq) -> int:
@@ -200,8 +244,13 @@ def merit_factor(seq) -> float:
     single coefficient), rather than returning infinity.
     """
     f = _coefficients(seq)
-    num = l2_norm_pow2(f) ** 2
-    den = l4_norm_pow4(f) - num
+    return _merit_factor(l2_norm_pow2(f), l4_norm_pow4(f))
+
+
+def _merit_factor(l2_pow2: int, l4_pow4: int) -> float:
+    """l2_pow2^2 / (l4_pow4 - l2_pow2^2) from the two exact norms."""
+    num = l2_pow2**2
+    den = l4_pow4 - num
     if den == 0:
         raise ValueError("degenerate sequence: ||f||_4^4 equals ||f||_2^4")
     return num / den

@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feketelab import suites
+from feketelab import experiments, sequences, suites
 from feketelab.cli import main
 
 
@@ -48,6 +49,62 @@ def test_norm_rejects_a_modulus_too_large_for_its_table(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Legendre table" in err
     assert "Traceback" not in err
+
+
+def test_norm_rejects_a_length_above_the_cap_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "norm", "--p", "3", "--t", "33554433")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "MAX_LENGTH" in err
+    assert "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_scan_rejects_a_top_rung_above_the_cap_before_any_rung(tmp_path, capsys, monkeypatch):
+    norms = []
+    monkeypatch.setattr(experiments, "l4_norm_pow4", lambda *a, **k: norms.append(a))
+    out_file = tmp_path / "runs.csv"
+    code, out, err = run(
+        capsys,
+        "scan", "--R", "0.25", "--T", "1",
+        "--pmin", "1000", "--pmax", "40000000", "--count", "2",
+        "--out", str(out_file),
+    )
+    assert code == 2 and out == ""
+    assert "MAX_LENGTH" in err and "Traceback" not in err
+    assert norms == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_rejects_a_prime_target_beyond_64_bits(tmp_path, capsys):
+    # 10**400 / pmin does not fit in a float
+    code, out, err = run(
+        capsys,
+        "scan", "--R", "0", "--T", "1", "--pmin", "3", "--pmax", str(10**400),
+        "--count", "2", "--out", str(tmp_path / "runs.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2^63" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kernel,spectral_calls", [("--fast", 1), ("--naive", 0)])
+def test_norm_runs_one_kernel_once(capsys, monkeypatch, kernel, spectral_calls):
+    calls = []
+    fast = sequences.autocorrelation_fast
+
+    def spy(seq):
+        calls.append(len(seq))
+        return fast(seq)
+
+    monkeypatch.setattr(sequences, "autocorrelation_fast", spy)
+    code, out, _ = run(capsys, "norm", "--p", "13", "--r", "3", "--t", "20", kernel)
+    assert code == 0 and "merit_factor: " in out
+    assert calls == [20] * spectral_calls
 
 
 def test_norm_degenerate_merit_factor(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def test_spec_validation():
     for p, r, t in [(3, 0.5, 3), (7, True, 3), (7, 0, True), (7, 0, 3.0), (np.bool_(1), 0, 3)]:
         with pytest.raises(ValueError):
             FeketeSpec(p, r, t)
+
+
+def test_spec_length_cap():
+    assert sequences.MAX_LENGTH == 2**25
+    assert FeketeSpec(3, 0, 2**25).t == 2**25
+    for t in (2**25 + 1, 10**30):
+        with pytest.raises(ValueError, match="MAX_LENGTH"):
+            FeketeSpec(3, 0, t)
 
 
 @pytest.mark.parametrize("itype", [np.int64, np.int32])
@@ -265,6 +274,53 @@ def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", noisy_irfft)
     with pytest.raises(KernelPrecisionError):
         autocorrelation_fast(seq)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_autocorrelation_fast_equals_naive_for_any_round_block(monkeypatch, block):
+    monkeypatch.setattr(sequences, "_ROUND_BLOCK", block)
+    rng = np.random.RandomState(29)
+    for t in list(range(1, 65)) + [1000]:
+        values = rng.choice([-1, 0, 1], size=t)
+        expected = autocorrelation_naive(values.astype(np.int8))
+        for seq in (values.tolist(), values.astype(np.int8), values.astype(np.int64)):
+            c = autocorrelation_fast(seq)
+            assert c.dtype == np.int64
+            assert (c == expected).all()
+
+
+@pytest.mark.parametrize("index", [0, 19])
+def test_autocorrelation_fast_checks_every_round_block(monkeypatch, index):
+    # t = 20 in blocks of 7: index 0 is in the first block, 19 in the last
+    monkeypatch.setattr(sequences, "_ROUND_BLOCK", 7)
+    seq = np.random.RandomState(31).choice([-1, 1], size=20)
+    real_irfft = np.fft.irfft
+
+    def irfft_off_by_a_quarter_at_one_index(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        out[index] += 0.25
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_off_by_a_quarter_at_one_index)
+    with pytest.raises(KernelPrecisionError, match="residual 2.500e-01 at length 20"):
+        autocorrelation_fast(seq)
+
+
+def test_autocorrelation_fast_peak_memory():
+    # The spectrum (8n bytes) and the irfft output (8n) with n = 2t peak at
+    # 32 bytes per coefficient.  tracemalloc sees numpy's allocations only,
+    # not pocketfft's scratch inside each transform.
+    t = 2**18
+    seq = np.random.RandomState(37).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        c = autocorrelation_fast(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c[0] == t
+    assert peak <= 40 * t
 
 
 @pytest.mark.parametrize(
