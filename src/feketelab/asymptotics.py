@@ -11,14 +11,16 @@ Both lattice sums have finite support and are summed in closed form, in
 constant time for any T.  u is invariant under R -> R + 1/2, and on the
 box D = [0, 1/2] x [1/2, 3/2] it is piecewise rational over six closed
 regions; its unique global minimum is the smallest root of
-27x^3 - 498x^2 + 1164x - 722.
+27x^3 - 498x^2 + 1164x - 722.  minimize_u checks that minimum apart
+from the cubics, with one search routine: a grid scan of D, repeated on
+boxes that shrink 4x around the best point so far.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -112,8 +114,8 @@ class Region(enum.Enum):
     """Cover of D = [0, 1/2] x [1/2, 3/2] by six closed cells.
 
     On each cell u restricts to a single rational expression.  Boundary
-    points satisfy two adjacent cells; classification picks the lowest
-    index, purely as a dispatch aid.
+    points satisfy two adjacent cells; region_classify reports the lowest
+    index, so every point of D gets exactly one cell.
     """
 
     D1 = 1
@@ -126,9 +128,14 @@ class Region(enum.Enum):
 
 
 def region_classify(R: float, T: float) -> Region:
-    """Locate (R, T) in the six-cell cover after reducing R mod 1/2."""
+    """Locate (R, T) in the six-cell cover after reducing R mod 1/2.
+
+    Both fractions must be finite; a finite T outside [1/2, 3/2] is OUTSIDE.
+    """
     R = normalize_R(R)
     if not 0.5 <= T <= 1.5:
+        if not math.isfinite(T):
+            raise ValueError(f"length fraction must be finite, got {T}")
         return Region.OUTSIDE
     if T + 2 * R <= 1:
         return Region.D1
@@ -237,41 +244,27 @@ def hj_specialization(R: FloatOrArray) -> FloatOrArray:
     return 7.0 / 6.0 + 8.0 * (d * d)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _grid_scan(
+    grid_step: float,
+    r_box: tuple[float, float] = (0.0, 0.5),
+    t_box: tuple[float, float] = (0.5, 1.5),
+) -> tuple[float, float, float]:
+    """(u, R, T) at the first minimum of u over the grid of the box
+    r_box x t_box (D by default) with the given step, in R-major order,
+    as Python floats.
 
-
-def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Abscissa of the minimum of a unimodal f on [a, b], within tol."""
-    h = b - a
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _grid_scan(grid_step: float) -> tuple[float, float, float]:
-    """(u, R, T) at the first minimum of u over the grid of D with the given
-    step, in R-major order, as Python floats.
-
-    The grid goes through ratio_limit_u in blocks of whole R rows of at most
-    ~_SCAN_BLOCK points; np.argmin and the strict comparison across blocks
-    both keep the first minimum.
+    Each axis runs from its lower bound in whole steps, its last point
+    clamped to the upper bound; a bound pair with lo == hi is one point.
+    The grid goes through ratio_limit_u in blocks of whole R rows of at
+    most ~_SCAN_BLOCK points; np.argmin and the strict comparison across
+    blocks both keep the first minimum.
     """
-    rs = np.minimum(np.arange(round(0.5 / grid_step) + 1) * grid_step, 0.5)
-    ts = np.minimum(0.5 + np.arange(round(1.0 / grid_step) + 1) * grid_step, 1.5)
+    rs, ts = (
+        np.minimum(lo + np.arange(round((hi - lo) / grid_step) + 1) * grid_step, hi)
+        for lo, hi in (r_box, t_box)
+    )
     rows = max(1, _SCAN_BLOCK // ts.size)
-    best = (math.inf, 0.0, 0.5)
+    best = (math.inf, r_box[0], t_box[0])
     for start in range(0, rs.size, rows):
         values = ratio_limit_u(rs[start : start + rows, None], ts[None, :])
         i, k = np.unravel_index(np.argmin(values), values.shape)
@@ -283,12 +276,15 @@ def _grid_scan(grid_step: float) -> tuple[float, float, float]:
 def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float]:
     """Deterministic global minimization of u over D = [0,1/2] x [1/2,3/2].
 
-    Exhaustive scan of the grid at the given step (required <= 1/64 so
-    the scan cannot miss the single smooth basin, and >= 2**-12 so the
-    scan stays bounded), then coordinate descent with golden-section
-    line searches on a window that halves each sweep until it drops
-    below refine_tol (positive and finite: a NaN or infinite tolerance
-    would skip the descent).  Returns (R*, T*, u*).
+    Exhaustive scan of the grid of D at the given step (required <= 1/64
+    so the scan cannot miss the single smooth basin, and >= 2**-12 so the
+    scan stays bounded), then the same scan, repeated on a 17 x 17 grid
+    over a box of +-window around the best point so far: the window
+    starts at two grid steps and shrinks 4x per pass until it is no
+    larger than max(refine_tol, 1e-13).  refine_tol must be positive and
+    finite (a NaN or infinite tolerance would skip the refinement); the
+    1e-13 floor keeps a tiny one from shrinking the scan step to zero.
+    Returns (R*, T*, u*) as Python floats.
     In double precision the localization of the minimizer bottoms out
     near 1e-8 (value comparisons cannot resolve the flat quadratic
     bottom below that), far below the 1e-6 the verification suite
@@ -301,24 +297,18 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
             f"refinement tolerance must be positive and finite, got {refine_tol}"
         )
 
-    # The u-Hessian at the basin gives a coordinate-descent contraction
-    # of ~0.43 per sweep, so halving the search window every sweep can
-    # never exclude the minimizer once the grid has landed in the basin.
-    _, R, T = _grid_scan(grid_step)
+    # At the basin the Hessian of u is about [[14.3, 7.15], [7.15, 8.24]],
+    # condition number kappa ~ 5.4.  A grid point lies within h/sqrt(2) of
+    # the minimizer, so the grid argmin at step h lies within
+    # h sqrt(kappa/2) ~ 1.65h of it, and the next box of +-2h (at step h/4)
+    # always contains it.
+    u, R, T = _grid_scan(grid_step)
     window = 2.0 * grid_step
-    while window > refine_tol:
-        line_tol = max(window * 1e-3, 0.25 * refine_tol, 1e-13)
-        R = _golden_min(
-            lambda x: ratio_limit_u(x, T),
-            max(0.0, R - window),
-            min(0.5, R + window),
-            line_tol,
+    while window > max(refine_tol, 1e-13):
+        u, R, T = _grid_scan(
+            window / 8.0,
+            (max(0.0, R - window), min(0.5, R + window)),
+            (max(0.5, T - window), min(1.5, T + window)),
         )
-        T = _golden_min(
-            lambda y: ratio_limit_u(R, y),
-            max(0.5, T - window),
-            min(1.5, T + window),
-            line_tol,
-        )
-        window *= 0.5
-    return R, T, ratio_limit_u(R, T)
+        window *= 0.25
+    return R, T, u

@@ -157,10 +157,14 @@ def check_decomposition() -> tuple[bool, str]:
 
     The identity exact-norm = A+B+C+D+E and A=B are confirmed on the
     p <= 101 grid, D is re-derived from its defining lattice sum, and
-    max |E|/p^2 over {401, 809, 1601} must undercut {11, 23, 47}.
+    max |E|/p^2 over {401, 809, 1601} must undercut {11, 23, 47}, whose
+    reports the p <= 101 loop already makes.
     """
+    small = 0.0
     for spec in _decomposition_grid(primes_in(3, 101)):
         rep = five_term_decomposition(spec)
+        if spec.p in (11, 23, 47):
+            small = max(small, abs(rep.E_normalized))
         exact = Fraction(l4_norm_pow4(fekete_coeffs(spec)))
         if exact != rep.A + rep.B + rep.C + rep.D + rep.E_actual or rep.A != rep.B:
             return False, f"identity broken at {spec}"
@@ -169,13 +173,10 @@ def check_decomposition() -> tuple[bool, str]:
         if d_sum != rep.D or rep.D != Fraction(-2 * t * (2 * t * t + 1), 3 * p):
             return False, f"D closed form broken at {spec}"
 
-    def grid_max(primes):
-        return max(
-            abs(five_term_decomposition(spec).E_normalized)
-            for spec in _decomposition_grid(primes)
-        )
-
-    small, large = grid_max([11, 23, 47]), grid_max([401, 809, 1601])
+    large = max(
+        abs(five_term_decomposition(spec).E_normalized)
+        for spec in _decomposition_grid([401, 809, 1601])
+    )
     return large < small, f"identity exact on p<=101 grid; max|E|/p^2 {small:.4f} -> {large:.4f}"
 
 

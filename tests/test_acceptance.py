@@ -48,6 +48,19 @@ def test_weil_check_reports_its_first_violation_in_lexicographic_order(monkeypat
     assert result.detail == "violation at p=7 (1,6,3)"
 
 
+def test_decomposition_check_decomposes_each_grid_entry_once(monkeypatch):
+    real, seen = suites.five_term_decomposition, []
+
+    def spy(spec):
+        seen.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(suites, "five_term_decomposition", spy)
+    assert suites.check_decomposition().passed
+    # six specs for each of the 25 primes 3..101, then for 401, 809 and 1601
+    assert len(seen) == (25 + 3) * 6
+
+
 @pytest.mark.parametrize("case,check", GATE.items(), ids=list(GATE))
 def test_acceptance_criterion(case, check):
     start = time.perf_counter()

@@ -22,7 +22,6 @@ from feketelab.asymptotics import (
     region_classify,
     solve_cubic_root,
     u4_closed_form,
-    _golden_min,
     _grid_scan,
 )
 from feketelab.sequences import _window_sum_sq
@@ -140,6 +139,13 @@ def test_region_classify_examples():
     assert region_classify(-1e-20, 1.0) is region_classify(0.0, 1.0) is Region.D1
     assert region_classify(0.3, 0.4) is Region.OUTSIDE
     assert region_classify(0.3, 1.6) is Region.OUTSIDE
+    assert region_classify(0.3, 1e300) is Region.OUTSIDE
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf")])
+def test_region_classify_rejects_non_finite_T(T):
+    with pytest.raises(ValueError, match="length fraction must be finite"):
+        region_classify(0.1, T)
 
 
 def test_region_classify_covers_the_box():
@@ -262,10 +268,27 @@ def test_minimize_u_rejects_non_finite_tolerance(tol):
         minimize_u(1 / 64, tol)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300, 5e-324])
+@pytest.mark.parametrize("k", range(6, 13))
+def test_minimize_u_lands_on_the_record_point_at_every_step_and_tolerance(k, tol):
+    # The refinement window stops at 1e-13 whatever the tolerance, so tiny
+    # ones terminate instead of shrinking the scan step to zero.
+    rc = record_constants()
+    r_star, t_star, u_star = minimize_u(2.0**-k, tol)
+    assert abs(r_star - rc.R0) < 1e-6
+    assert abs(t_star - rc.T0) < 1e-6
+    assert abs(u_star - rc.c) < 1e-8
+
+
 def test_restricted_minimum_on_unit_T_line():
-    r_star = _golden_min(lambda x: ratio_limit_u(x, 1.0), 0.0, 0.5, 1e-12)
-    assert abs(r_star - 0.25) < 1e-6
-    assert ratio_limit_u(r_star, 1.0) == pytest.approx(7 / 6, abs=1e-13)
+    # minimize_u's refinement on the degenerate box T = 1, from R = 0.3.
+    R, window = 0.3, 1 / 16
+    while window > 1e-12:
+        u, R, T = _grid_scan(window / 8, (R - window, R + window), (1.0, 1.0))
+        window *= 0.25
+    assert T == 1.0
+    assert abs(R - 0.25) < 1e-6
+    assert u == ratio_limit_u(R, 1.0) == pytest.approx(7 / 6, abs=1e-13)
 
 
 def test_small_T_stays_above_four_thirds():
@@ -385,17 +408,26 @@ def test_array_u_equals_scalar_u_on_the_optimizer_grid():
     assert np.array_equal(ratio_limit_u(R, T).ravel(), _scalar_u(R.ravel(), T.ravel()))
 
 
-@pytest.mark.parametrize("step", [1 / 64, 1 / 128])
-def test_grid_scan_matches_a_plain_double_loop(step):
-    best_u, best_r, best_t = float("inf"), 0.0, 0.5
-    for i in range(round(0.5 / step) + 1):
-        R = min(i * step, 0.5)
-        for k in range(round(1.0 / step) + 1):
-            T = min(0.5 + k * step, 1.5)
+@pytest.mark.parametrize(
+    "step, box",
+    [
+        pytest.param(1 / 64, None, id="0.015625"),
+        pytest.param(1 / 128, None, id="0.0078125"),
+        # both upper bounds off the grid: the last point of each axis is clamped
+        pytest.param(1 / 512, ((0.21, 0.2351), (1.03, 1.0917)), id="sub-box"),
+    ],
+)
+def test_grid_scan_matches_a_plain_double_loop(step, box):
+    (r_lo, r_hi), (t_lo, t_hi) = box or ((0.0, 0.5), (0.5, 1.5))
+    best_u, best_r, best_t = float("inf"), r_lo, t_lo
+    for i in range(round((r_hi - r_lo) / step) + 1):
+        R = min(r_lo + i * step, r_hi)
+        for k in range(round((t_hi - t_lo) / step) + 1):
+            T = min(t_lo + k * step, t_hi)
             val = ratio_limit_u(R, T)
             if val < best_u:
                 best_u, best_r, best_t = val, R, T
-    scan = _grid_scan(step)
+    scan = _grid_scan(step) if box is None else _grid_scan(step, *box)
     assert scan == (best_u, best_r, best_t)
     assert all(type(x) is float for x in scan)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feketelab import experiments, sequences, suites
-from feketelab.cli import main
+from feketelab.asymptotics import record_constants
+from feketelab.cli import entry, main
 
 
 def run(capsys, *argv):
@@ -165,6 +167,20 @@ def test_optimize_quick(capsys):
     assert code == 0
     values = dict(line.split(": ") for line in out.strip().splitlines())
     assert abs(float(values["u_star"]) - 1.157677431123647) < 1e-8
+
+
+@pytest.mark.parametrize("tol", ["5e-324", "1e-300"])
+def test_optimize_terminates_at_a_tiny_tolerance(capsys, monkeypatch, tol):
+    # through entry(), the target of the feketelab console script
+    argv = ["feketelab", "optimize", "--grid-step", "0.015625", "--tol", tol]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as stop:
+        entry()
+    assert stop.value.code == 0
+    values = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    rc = record_constants()
+    assert abs(float(values["R_star"]) - rc.R0) < 1e-6
+    assert abs(float(values["T_star"]) - rc.T0) < 1e-6
 
 
 def test_optimize_rejects_coarse_grid(capsys):
