@@ -29,7 +29,6 @@ from .experiments import (
     ExponentialSumBound,
     export_records,
     five_term_decomposition,
-    large_t_check,
     prime_ladder,
     run_convergence,
     technical_lemma_check,

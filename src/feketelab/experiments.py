@@ -2,8 +2,8 @@
 
 These routines measure how fast the exact integer norms approach the
 limit surface, and verify the closed forms that drive the limit: the
-five-term split of ||f||_4^4, the complex-sum bound behind its error
-term, and the periodic lower bound for long sequences.
+five-term split of ||f||_4^4 and the complex-sum bound behind its error
+term.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -20,13 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .asymptotics import ratio_limit_u
-from .primality import next_prime_at_least, require_odd_prime
+from .primality import next_prime_at_least
 from .sequences import (
     FeketeSpec,
     fekete_coeffs,
     l4_norm_pow4,
     littlewoodize,
-    periodic_lower_bound,
     _window_sum_sq,
 )
 
@@ -36,7 +36,6 @@ __all__ = [
     "ExponentialSumBound",
     "export_records",
     "five_term_decomposition",
-    "large_t_check",
     "prime_ladder",
     "run_convergence",
     "technical_lemma_check",
@@ -102,7 +101,10 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     Each quadruple is fixed by (j2, j3, j4) with j1 = j3 + j4 - j2 in
     [0, t), so the inner sum at (a, -b, -c) is the 3-D DFT of the counts
     of those triples by residue mod n; negating b and c permutes
-    (Z/nZ)^3, so G is the sum of the DFT's magnitudes.
+    (Z/nZ)^3, so G is the sum of the DFT's magnitudes.  The counts are
+    real, so the DFT at -k mirrors the one at k: rfftn keeps the planes
+    0 <= c <= n/2 of the last axis, and the planes strictly inside that
+    range stand for themselves and their mirror images.
     """
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
@@ -114,7 +116,9 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     j1 = j3 + j4 - j2
     residue = ((j2 % n) * n + j3 % n) * n + j4 % n
     counts = np.bincount(residue[(j1 >= 0) & (j1 < t)], minlength=n**3)
-    G = float(np.abs(np.fft.fftn(counts.reshape(n, n, n))).sum())
+    planes = np.abs(np.fft.rfftn(counts.reshape(n, n, n))).sum(axis=(0, 1))
+    # Plane 0, and plane n/2 for even n, are their own mirror images.
+    G = float(2.0 * planes.sum() - planes[0] - (planes[-1] if n % 2 == 0 else 0.0))
     bound = 64.0 * max(n, t) ** 3 * (1.0 + math.log(n)) ** 3
     return ExponentialSumBound(G=G, bound=bound, ok=G <= bound)
 
@@ -199,24 +203,6 @@ def run_convergence(
     return records
 
 
-def large_t_check(p: int, t: int, r: int = 0) -> bool:
-    """For t/p > 3/2, confirm ||g||_4^4 / t^2 >= 1 + 2 (1 - p/t)^2.
-
-    The sequence is p-periodic, so its norm is at least the periodic
-    lower bound with period p, whose first three terms already give the
-    closed-form threshold; the comparison is done in exact integers as
-    l4 >= t^2 + 2 (t - p)^2.
-    """
-    require_odd_prime(p)
-    if 2 * t <= 3 * p:
-        raise ValueError(f"need t/p > 3/2, got t={t}, p={p}")
-    g = littlewoodize(fekete_coeffs(FeketeSpec(p, r, t)))
-    l4 = l4_norm_pow4(g)
-    floor = periodic_lower_bound(t, p)
-    threshold = t * t + 2 * (t - p) ** 2
-    return l4 >= floor and floor >= threshold
-
-
 _RECORD_FIELDS = ("p", "r", "t", "l4_pow4", "ratio4", "limit", "abs_err", "rel_err")
 _FLOAT_FIELDS = ("ratio4", "limit", "abs_err", "rel_err")
 
@@ -233,11 +219,39 @@ def _record_row(rec: ExperimentRecord) -> dict:
     return row
 
 
+def _write_rows(handle, rows: list[dict], format: str) -> None:
+    if format == "csv":
+        writer = csv.DictWriter(handle, fieldnames=_RECORD_FIELDS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(
+                {
+                    name: f"{value:.15g}" if name in _FLOAT_FIELDS else value
+                    for name, value in row.items()
+                }
+            )
+    else:
+        json.dump(rows, handle, indent=2)
+        handle.write("\n")
+
+
+def _is_stream(path) -> bool:
+    """True if path, links followed, is a FIFO or a character device."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    return stat.S_ISFIFO(mode) or stat.S_ISCHR(mode)
+
+
 def export_records(records, format: str, destination) -> None:
     """Write records as CSV or JSON with floats at 15 significant digits.
 
     The file is written beside the destination under a temporary name and
     then renamed over it, so a failed write leaves no partial file behind.
+    A symlink is resolved first: its target receives the records and the
+    link stays a link.  A FIFO or a character device (/dev/stdout) cannot
+    be renamed over and is written directly.
     """
     records = list(records)
     if not records:
@@ -245,27 +259,22 @@ def export_records(records, format: str, destination) -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     rows = [_record_row(rec) for rec in records]
-    head, tail = os.path.split(os.fspath(destination))
-    temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    temporary = None
     try:
-        with open(temporary, "x", newline="") as handle:
-            if format == "csv":
-                writer = csv.DictWriter(handle, fieldnames=_RECORD_FIELDS)
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow(
-                        {
-                            name: f"{value:.15g}" if name in _FLOAT_FIELDS else value
-                            for name, value in row.items()
-                        }
-                    )
-            else:
-                json.dump(rows, handle, indent=2)
-                handle.write("\n")
-        os.replace(temporary, destination)
+        if _is_stream(destination):
+            with open(destination, "w", newline="") as handle:
+                _write_rows(handle, rows, format)
+        else:
+            target = os.path.realpath(destination)
+            head, tail = os.path.split(target)
+            temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            with open(temporary, "x", newline="") as handle:
+                _write_rows(handle, rows, format)
+            os.replace(temporary, target)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
+        if temporary is not None:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
         if isinstance(exc, OSError):
             raise OSError(f"cannot write records to {destination}: {exc}") from exc
         raise

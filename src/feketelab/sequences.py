@@ -6,7 +6,10 @@ integer c_0^2 + 2 sum_{u>=1} c_u^2, where c_u are the aperiodic
 autocorrelations.  Every norm here is an exact integer: the spectral
 kernel rounds back to integers under a residual guard, and the direct
 kernel sums in floating point only where every partial sum is an integer
-the float type represents exactly.
+the float type represents exactly.  The direct kernel splits the
+sequence in halves, whose own autocorrelations plus one cross-correlation
+give every lag, so it sums each non-negative lag once: about t^2 / 2
+products, not the t^2 of a correlation over all 2t - 1 lags.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 
@@ -108,22 +111,52 @@ def littlewoodize(seq) -> np.ndarray:
 # integer of magnitude <= 2**24 is a float32.
 _FLOAT32_EXACT_MAX = 2**24
 
+# Longest half the direct kernel still splits: a sequence of at most this
+# many coefficients takes one np.correlate over all its lags.
+_DIRECT_LEAF = 2048
+
+
+def _direct_correlation(g: np.ndarray) -> np.ndarray:
+    """Non-negative lags of sum_j g_j g_{j+u}, in g's float dtype.
+
+    g = A + B splits at the middle: a pair (j, j+u) lies in A, in B, or
+    has j in A and j+u in B, so c = c_A + c_B plus the cross terms.
+    np.correlate(B, A, "full") holds those at lags 1 .. t-1, its entry i
+    pairing A[j] with B[j + i + 1 - len(A)].  The halves recurse down to
+    _DIRECT_LEAF coefficients.
+    """
+    t = g.size
+    if t <= _DIRECT_LEAF:
+        return np.correlate(g, g, "full")[t - 1 :]
+    m = t // 2
+    a, b = g[:m], g[m:]
+    c = np.empty(t, dtype=g.dtype)
+    c[0] = 0
+    c[1:] = np.correlate(b, a, "full")
+    c[:m] += _direct_correlation(a)
+    c[: t - m] += _direct_correlation(b)
+    return c
+
 
 def autocorrelation_naive(seq) -> np.ndarray:
     """Aperiodic autocorrelations c_u = sum_j f_j f_{j+u}, u = 0 .. t-1.
 
-    Direct O(t^2) summation with no transform; the reference kernel.  One
-    np.correlate call sums every lag in floating point, which is exact:
-    each product f_j f_{j+u} lies in {-1, 0, 1}, so every partial sum, in
-    whatever order the dot product adds, is an integer of magnitude <= t.
+    Direct summation with no transform; the reference kernel.  The
+    sequence is cut into halves A and B, so that c = c_A + c_B plus the
+    cross-correlation of B against A at lags 1 .. t-1; the halves are
+    split again down to leaves of at most 2048 coefficients, each one
+    np.correlate.  Only the non-negative lags are summed, about t^2 / 2
+    multiply-adds where one np.correlate over the whole sequence takes
+    t^2.  The sums in floating point are exact: each product f_j f_{j+u}
+    lies in {-1, 0, 1}, and every running value, in whatever order the
+    dot products and the additions of the halves go, is a sum over a
+    subset of the products at one lag, so an integer of magnitude <= t.
     float32 represents every such integer while t <= 2**24, and float64
     for any t that fits in memory.  Returns int64.
     """
     f = _coefficients(seq)
-    t = f.size
-    dtype = np.float32 if t <= _FLOAT32_EXACT_MAX else np.float64
-    g = f.astype(dtype)
-    return np.correlate(g, g, "full")[t - 1 :].astype(np.int64)
+    dtype = np.float32 if f.size <= _FLOAT32_EXACT_MAX else np.float64
+    return _direct_correlation(f.astype(dtype)).astype(np.int64)
 
 
 def _smooth_numbers(limit: int) -> tuple[int, ...]:
@@ -256,14 +289,13 @@ def _merit_factor(l2_pow2: int, l4_pow4: int) -> float:
     return num / den
 
 
-def char_sum_l4(spec: FeketeSpec) -> int:
-    """Fourth-power L4 norm as a constrained quadruple character sum.
+def _char_sum_l4_prefixes(spec: FeketeSpec) -> np.ndarray:
+    """char_sum_l4 of every prefix: entry s-1 is the sum at length s.
 
-    Sums (  (j1+r)(j2+r)(j3+r)(j4+r) | p  ) over all index quadruples in
-    [0, t) with j1 + j2 = j3 + j4, reducing the product mod p before the
-    symbol is taken.  Independent of the autocorrelation route; the two
-    must agree exactly.  One broadcast over (j2, j3, j4), masked to
-    j1 = j3 + j4 - j2 in [0, t): O(t^3) work and memory, capped at t <= 64.
+    A quadruple counts at length s exactly when its largest index is
+    below s, so one np.bincount of the symbols by largest index, then a
+    cumsum, gives every length 1 .. t in one pass.  The bincount sums in
+    float64, exactly: its totals are integers of magnitude <= t^3.
     """
     if spec.t > 64:
         raise ValueError(f"quadruple-sum oracle capped at t <= 64, got {spec.t}")
@@ -274,7 +306,21 @@ def char_sum_l4(spec: FeketeSpec) -> int:
     j1 = j3 + j4 - j2
     inside = (j1 >= 0) & (j1 < t)
     product = residue[j1 % t] * residue[j2] % p * residue[j3] % p * residue[j4] % p
-    return int(table[product].sum(where=inside))
+    largest = np.maximum(np.maximum(j1, j2), np.maximum(j3, j4))
+    by_largest = np.bincount(largest[inside], weights=table[product[inside]], minlength=t)
+    return np.cumsum(by_largest).astype(np.int64)
+
+
+def char_sum_l4(spec: FeketeSpec) -> int:
+    """Fourth-power L4 norm as a constrained quadruple character sum.
+
+    Sums (  (j1+r)(j2+r)(j3+r)(j4+r) | p  ) over all index quadruples in
+    [0, t) with j1 + j2 = j3 + j4, reducing the product mod p before the
+    symbol is taken.  Independent of the autocorrelation route; the two
+    must agree exactly.  One broadcast over (j2, j3, j4), masked to
+    j1 = j3 + j4 - j2 in [0, t): O(t^3) work and memory, capped at t <= 64.
+    """
+    return int(_char_sum_l4_prefixes(spec)[-1])
 
 
 def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:

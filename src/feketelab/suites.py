@@ -34,10 +34,10 @@ from .sequences import (
     FeketeSpec,
     autocorrelation_fast,
     autocorrelation_naive,
-    char_sum_l4,
     fekete_coeffs,
     l4_norm_pow4,
     periodic_lower_bound,
+    _char_sum_l4_prefixes,
     _window_sum_sq,
 )
 
@@ -130,15 +130,16 @@ def check_hj_specialization() -> tuple[bool, str]:
     return worst < 1e-12, f"max|diff|={worst:.2e}"
 
 
-@_gate("charsum-oracle", 10.0)
+@_gate("charsum-oracle", 2.0)
 def check_charsum_oracle() -> tuple[bool, str]:
-    """Quadruple character sum equals the autocorrelation norm exactly."""
+    """Quadruple character sum equals the autocorrelation norm exactly,
+    at every length t <= 2p: one prefix pass per (p, r)."""
     checked = 0
     for p in primes_in(3, 13):
         for r in range(p):
+            sums = _char_sum_l4_prefixes(FeketeSpec(p, r, 2 * p))
             for t in range(1, 2 * p + 1):
-                spec = FeketeSpec(p, r, t)
-                if char_sum_l4(spec) != l4_norm_pow4(fekete_coeffs(spec)):
+                if sums[t - 1] != l4_norm_pow4(fekete_coeffs(FeketeSpec(p, r, t))):
                     return False, f"mismatch at p={p} r={r} t={t}"
                 checked += 1
     return True, f"{checked} specs equal exactly"
@@ -146,7 +147,7 @@ def check_charsum_oracle() -> tuple[bool, str]:
 
 def _decomposition_grid(primes: list[int]):
     for p in primes:
-        for r in (0, p // 4):
+        for r in sorted({0, p // 4}):
             for t in (p // 2, p, 3 * p // 2):
                 yield FeketeSpec(p, r, t)
 
@@ -213,7 +214,7 @@ def check_gauss_identity() -> tuple[bool, str]:
     return worst < 1e-6, f"max residual/p={worst:.2e}"
 
 
-@_gate("exponential-sum-bound", 120.0)
+@_gate("exponential-sum-bound", 5.0)
 def check_exponential_sum_bound() -> tuple[bool, str]:
     """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32."""
     worst = 0.0
@@ -242,7 +243,7 @@ def check_periodic_bound() -> tuple[bool, str]:
     return True, "3024 sequences ok, all-ones tight"
 
 
-@_gate("kernel-equality", 5.0)
+@_gate("kernel-equality", 2.0)
 def check_kernels() -> tuple[bool, str]:
     """Spectral and direct autocorrelation agree exactly on 1000 random
     sign sequences with lengths up to 2^14."""

@@ -1,21 +1,30 @@
 import cmath
 import csv
 import json
+import os
+import stat
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from feketelab.experiments import (
     export_records,
     five_term_decomposition,
-    large_t_check,
     prime_ladder,
     run_convergence,
     technical_lemma_check,
 )
 from feketelab.primality import is_prime
-from feketelab.sequences import FeketeSpec, fekete_coeffs, l4_norm_pow4, littlewoodize
+from feketelab.sequences import (
+    FeketeSpec,
+    fekete_coeffs,
+    l4_norm_pow4,
+    littlewoodize,
+    periodic_lower_bound,
+)
 
 
 def quadruple_count(t, accept):
@@ -105,6 +114,24 @@ def test_technical_lemma_matches_bruteforce():
             assert grouped == pytest.approx(brute_lemma_sum(n, t), abs=1e-8)
 
 
+def full_spectrum_lemma_sum(n, t):
+    """Oracle: G from the full 3-D fftn of the (j2, j3, j4) residue counts."""
+    j2, j3, j4 = np.indices((t, t, t)).reshape(3, -1)
+    j1 = j3 + j4 - j2
+    keep = (j1 >= 0) & (j1 < t)
+    counts = np.zeros((n, n, n))
+    np.add.at(counts, (j2[keep] % n, j3[keep] % n, j4[keep] % n), 1)
+    return float(np.abs(np.fft.fftn(counts)).sum())
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 32])
+def test_technical_lemma_half_spectrum_equals_the_full_fftn(t):
+    for n in range(1, 25):
+        assert technical_lemma_check(n, t).G == pytest.approx(
+            full_spectrum_lemma_sum(n, t), rel=1e-12
+        )
+
+
 def test_technical_lemma_rejects_out_of_range():
     with pytest.raises(ValueError):
         technical_lemma_check(25, 3)
@@ -159,16 +186,28 @@ def test_run_convergence_validates_arguments():
         run_convergence(0.25, 1.0, 100, 200, 1)
 
 
+def large_t_inequality(p, t, r=0):
+    """For t/p > 3/2, ||g||_4^4 >= periodic floor >= t^2 + 2 (t - p)^2.
+
+    The Littlewood-ized sequence is p-periodic, so its norm is at least
+    the periodic lower bound with period p, whose first three terms
+    already give the closed-form threshold 1 + 2 (1 - p/t)^2 on the
+    normalized norm; every comparison is in exact integers.
+    """
+    assert 2 * t > 3 * p
+    l4 = l4_norm_pow4(littlewoodize(fekete_coeffs(FeketeSpec(p, r, t))))
+    floor = periodic_lower_bound(t, p)
+    return l4 >= floor >= t * t + 2 * (t - p) ** 2
+
+
 def test_large_t_check_examples():
-    assert large_t_check(7, 14, 0)
-    assert large_t_check(11, 17, 3)
-    with pytest.raises(ValueError):
-        large_t_check(7, 10)
+    assert large_t_inequality(7, 14, 0)
+    assert large_t_inequality(11, 17, 3)
 
 
 def test_large_t_ratio_beats_eleven_ninths():
     for p, t, r in ((7, 11, 0), (11, 18, 5), (13, 20, 2)):
-        assert large_t_check(p, t, r)
+        assert large_t_inequality(p, t, r)
         g_l4 = l4_norm_pow4(littlewoodize(fekete_coeffs(FeketeSpec(p, r, t))))
         assert g_l4 / t**2 > 11 / 9
 
@@ -251,3 +290,40 @@ def test_export_replaces_existing_file(tmp_path):
     export_records(_sample_records(), "csv", out)
     assert out.read_text().startswith("p,r,t,")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ladder.csv"]
+
+
+def test_export_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    export_records(_sample_records(), "csv", link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("p,r,t,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("through_link", [False, True])
+def test_export_to_a_fifo_writes_in_place(tmp_path, through_link):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    destination = fifo
+    if through_link:
+        destination = tmp_path / "link"
+        destination.symlink_to(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    records = _sample_records()
+    export_records(records, "csv", destination)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    lines = received[0].strip().splitlines()
+    assert lines[0] == "p,r,t,l4_pow4,ratio4,limit,abs_err,rel_err"
+    assert len(lines) == len(records) + 1
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert destination.is_symlink() == through_link
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        {"pipe", destination.name}
+    )

@@ -18,6 +18,7 @@ from feketelab.sequences import (
     littlewoodize,
     merit_factor,
     periodic_lower_bound,
+    _char_sum_l4_prefixes,
     _smooth_length,
     _sum_squares,
 )
@@ -165,12 +166,18 @@ def autocorrelation_by_loop(seq):
 
 
 def test_autocorrelation_naive_equals_the_loop_oracle():
+    # 2047 .. 2049 straddle the leaf bound, 3001 splits unevenly, and
+    # 2**14 + 1 splits unevenly at each of its four levels of halves
     rng = np.random.RandomState(13)
-    for t in list(range(1, 65)) + [1024, 1458, 1563, 2**14]:
+    lengths = list(range(1, 65)) + [1024, 1458, 1563, 2047, 2048, 2049, 3001, 2**14, 2**14 + 1]
+    for t in lengths:
         seq = rng.choice([-1, 0, 1], size=t)
         c = autocorrelation_naive(seq)
         assert c.dtype == np.int64
         assert (c == autocorrelation_by_loop(seq)).all()
+    # c_u = t - u: every running sum of every lag reaches its largest value
+    ones = np.ones(2**14, dtype=np.int8)
+    assert (autocorrelation_naive(ones) == np.arange(2**14, 0, -1)).all()
 
 
 def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
@@ -191,23 +198,27 @@ def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
 
 def test_autocorrelation_naive_float64_branch(monkeypatch):
     # Lower the float32 bound so short vectors take the float64 branch,
-    # and record the dtype each np.correlate call sums in.
+    # and record the dtypes each np.correlate call sums in.
     monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", 8)
     seen = []
     correlate = np.correlate
 
     def spy(a, v, mode):
-        seen.append(a.dtype)
+        seen.append((a.dtype, v.dtype))
         return correlate(a, v, mode)
 
     monkeypatch.setattr(np, "correlate", spy)
     rng = np.random.RandomState(19)
-    for t in (1, 8, 9, 64, 1024, 1563):
+    for t in (1, 8, 9, 64, 1024, 1563, 5000):
+        seen.clear()
         seq = rng.choice([-1, 0, 1], size=t)
         c = autocorrelation_naive(seq)
         assert c.dtype == np.int64
         assert (c == autocorrelation_by_loop(seq)).all()
-    assert seen == [np.float32, np.float32] + [np.float64] * 4
+        # 5000 splits into halves of 2500, each split once more
+        assert len(seen) == (7 if t == 5000 else 1)
+        branch = np.dtype(np.float32 if t <= 8 else np.float64)
+        assert set(seen) == {(branch, branch)}
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -417,6 +428,16 @@ def test_char_sum_l4_equals_the_loop_oracle():
     ]
     for spec in specs + [FeketeSpec(61, 5, 64)]:
         assert char_sum_l4(spec) == char_sum_l4_by_loop(spec)
+
+
+def test_char_sum_l4_prefixes_equal_the_loop_oracle_at_every_length():
+    specs = [FeketeSpec(p, r, 2 * p) for p in primes_in(3, 7) for r in range(p)]
+    for spec in specs + [FeketeSpec(61, 5, 64)]:
+        sums = _char_sum_l4_prefixes(spec)
+        assert sums.tolist() == [
+            char_sum_l4_by_loop(FeketeSpec(spec.p, spec.r, t)) for t in range(1, spec.t + 1)
+        ]
+        assert char_sum_l4(spec) == sums[-1]
 
 
 def test_char_sum_l4_rejects_oversize_t():
