@@ -137,8 +137,10 @@ class ExperimentRecord:
     rel_err: float
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+def _round_half_away(x: Fraction) -> int:
+    """Nearest integer to the exact x, ties away from zero."""
+    n = math.floor(abs(x) + Fraction(1, 2))
+    return n if x >= 0 else -n
 
 
 def prime_ladder(p_lo: int, p_hi: int, count: int) -> list[int]:
@@ -164,10 +166,10 @@ def run_convergence(
 ) -> list[ExperimentRecord]:
     """Exact normalized norms along a prime ladder against the limit u(R, T).
 
-    For each prime the rotation and length are the nearest integers to
-    R*p and T*p (half away from zero, length at least 1), the sequence
-    is Littlewood-ized, and its exact fourth-power norm is divided by
-    t^2.  Records are ordered by p.  A top rung longer than
+    For each prime the rotation and length round the exact products R*p
+    and T*p half away from zero (length at least 1), so none overflows;
+    the sequence is Littlewood-ized, and its exact fourth-power norm is
+    divided by t^2.  Records are ordered by p.  A top rung longer than
     sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
     if T <= 0:
@@ -177,6 +179,7 @@ def run_convergence(
     limit = ratio_limit_u(R, T)
     # Every spec is validated, the top rung's length against MAX_LENGTH
     # included, before the first rung allocates anything.
+    R, T = Fraction(float(R)), Fraction(float(T))  # float() admits numpy scalars
     specs = [
         FeketeSpec(p, _round_half_away(R * p), max(1, _round_half_away(T * p)))
         for p in prime_ladder(p_lo, p_hi, count)

@@ -15,9 +15,9 @@ public call; the vectors built here are read-only int8 arrays.
 
 Memory: the spectral kernel holds three full-length arrays, the rfft
 spectrum, the irfft output and the int64 result, plus pocketfft's own
-scratch inside each transform; an exact norm at t ~ 1e7 peaks near 70
-bytes of RSS per coefficient.  FeketeSpec caps t at MAX_LENGTH, so a
-length is rejected before anything is allocated for it.
+scratch in each transform, and rounds in place; an exact norm at t ~ 1e7
+peaks near 70 bytes of RSS per coefficient.  FeketeSpec caps t at
+MAX_LENGTH, so a length is rejected before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -185,17 +185,13 @@ def _smooth_length(m: int) -> int:
     return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, m)]
 
 
-# Values rounded per step of autocorrelation_fast: a 512 KiB float64 block,
-# small beside the full-length arrays and long enough to amortize the loop.
-_ROUND_BLOCK = 2**16
-
-
 def autocorrelation_fast(seq) -> np.ndarray:
     """Same integer output as autocorrelation_naive in O(t log t).
 
     Spectral convolution of the sequence with its reversal, zero-padded
     to the smallest n = 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError
-    if any value fails to round cleanly to an integer (residual >= 1e-3).
+    if any value fails to round cleanly to an integer (residual >= 1e-3
+    or NaN).
 
     Memory: only three full-length arrays exist, the complex spectrum
     (8n bytes), the irfft output (8n) and the int64 result (8t).  The
@@ -203,10 +199,11 @@ def autocorrelation_fast(seq) -> np.ndarray:
     about 16n bytes, 32t to 34t for t >= 1000, plus pocketfft's own
     scratch inside each transform.  The power spectrum is formed in
     place and handed to irfft as a complex array with zero imaginary
-    parts, so irfft makes no complex copy of a real input; the output is
-    rounded in blocks of _ROUND_BLOCK values.  The float operations are
-    those of re**2 + im**2 followed by a real irfft, so the values and
-    the residual do not depend on this layout.
+    parts, so irfft makes no complex copy of a real input.  rint writes
+    the int64 result directly, and the irfft output is overwritten by
+    |c - rint(c)|; numpy's ufunc buffers are the only other temporaries.
+    The float operations are those of re**2 + im**2 followed by a real
+    irfft, so the values and the residual do not depend on this layout.
     """
     f = _coefficients(seq)
     t = f.size
@@ -220,14 +217,11 @@ def autocorrelation_fast(seq) -> np.ndarray:
     corr = np.fft.irfft(spectrum, n)[:t]
     del spectrum, parts, re, im
     out = np.empty(t, dtype=np.int64)
-    for start in range(0, t, _ROUND_BLOCK):
-        # Each block is overwritten by its own |c - rint(c)|.
-        block = corr[start : start + _ROUND_BLOCK]
-        rounded = np.rint(block)
-        out[start : start + _ROUND_BLOCK] = rounded
-        np.abs(np.subtract(block, rounded, out=block), out=block)
+    np.rint(corr, out=out, casting="unsafe")
+    # corr becomes |c - rint(c)|; out holds |c| <= t < 2**53, exact in float64.
+    np.abs(np.subtract(corr, out, out=corr), out=corr)
     residual = float(corr.max())
-    if residual >= 1e-3:
+    if not residual < 1e-3:  # a NaN residual fails too
         raise KernelPrecisionError(
             f"autocorrelation rounding residual {residual:.3e} at length {t}"
         )
@@ -260,11 +254,10 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     Sums the squares with overflow-guarded int64 dot products.  Since
     |c_u| <= t, one chunk covers every t with t^3 <= 2^62 (t <= 1.6e6).
     """
-    f = _coefficients(seq)
     if kernel == "fast":
-        c = autocorrelation_fast(f)
+        c = autocorrelation_fast(seq)
     elif kernel == "naive":
-        c = autocorrelation_naive(f)
+        c = autocorrelation_naive(seq)
     else:
         raise ValueError(f"kernel must be 'fast' or 'naive', got {kernel!r}")
     return 2 * _sum_squares(c) - int(c[0]) ** 2
@@ -276,8 +269,7 @@ def merit_factor(seq) -> float:
     Raises ValueError on degenerate input (denominator zero, e.g. a
     single coefficient), rather than returning infinity.
     """
-    f = _coefficients(seq)
-    return _merit_factor(l2_norm_pow2(f), l4_norm_pow4(f))
+    return _merit_factor(l2_norm_pow2(seq), l4_norm_pow4(seq))
 
 
 def _merit_factor(l2_pow2: int, l4_pow4: int) -> float:

@@ -1,5 +1,5 @@
 """Acceptance gate: one test per check of `SUITES["all"]`, each printing
-its verify line and held to the time budget declared beside the check.
+its verify line and held to the one time budget `suites.CHECK_BUDGET_S`.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; `feketelab verify --suite all` drives the same checks from the
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from feketelab import suites
+from feketelab import sequences, suites
 from feketelab.suites import SUITES
 
 GATE = {f"{i:02d} {check.name}": check for i, check in enumerate(SUITES["all"], 1)}
@@ -63,6 +63,20 @@ def test_decomposition_check_decomposes_each_grid_entry_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_decomposition_check_catches_a_wrong_spectral_norm(monkeypatch):
+    real = sequences.autocorrelation_fast
+
+    def off_by_one_at_the_last_lag(seq):
+        c = real(seq).copy()
+        c[-1] += 1
+        return c
+
+    monkeypatch.setattr(sequences, "autocorrelation_fast", off_by_one_at_the_last_lag)
+    result = suites.check_decomposition()
+    assert not result.passed
+    assert result.detail == "identity broken at FeketeSpec(p=3, r=0, t=1)"
+
+
 @pytest.mark.parametrize("case,check", GATE.items(), ids=list(GATE))
 def test_acceptance_criterion(case, check):
     start = time.perf_counter()
@@ -72,5 +86,5 @@ def test_acceptance_criterion(case, check):
     print(line)
     assert result.name == check.name
     assert result.passed, line
-    budget = check.budget_s
-    assert elapsed < budget, f"{case} exceeded its {budget:.0f}s budget: {elapsed:.2f}s"
+    budget = suites.CHECK_BUDGET_S
+    assert elapsed < budget, f"{case} exceeded the {budget:.0f}s budget: {elapsed:.2f}s"

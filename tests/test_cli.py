@@ -244,6 +244,19 @@ def test_scan_surfaces_io_failure(capsys):
     assert "nonexistent-dir" in err
 
 
+def test_scan_accepts_a_rotation_fraction_whose_products_overflow(tmp_path, capsys):
+    out_file = tmp_path / "runs.csv"
+    code, out, err = run(
+        capsys,
+        "scan", "--R", "1e308", "--T", "1",
+        "--pmin", "100", "--pmax", "200", "--count", "2",
+        "--out", str(out_file),
+    )
+    assert code == 0 and err == ""
+    assert "wrote 2 records" in out
+    assert len(out_file.read_text().splitlines()) == 3
+
+
 def test_norm_reports_precision_failure(capsys, monkeypatch):
     import feketelab.cli as cli
     from feketelab.sequences import KernelPrecisionError
@@ -291,7 +304,10 @@ def test_missing_required_flag_is_usage_error(capsys):
 # stay small: p <= 200, t <= 300, |T| <= 1000, grid steps no finer than 1/64.
 _NUMBERS = st.one_of(
     st.floats(-1000.0, 1000.0).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1e-300", "5e-324", "1e300", "x", ""]),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-0.0", "1e-300", "5e-324", "1e300", "1e308",
+         "-1.7976931348623157e308", "x", ""]
+    ),
 )
 _INTEGERS = st.one_of(
     st.integers(-5, 300).map(str),

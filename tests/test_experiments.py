@@ -179,6 +179,16 @@ def test_run_convergence_negative_R_rounding():
         assert rec.r == -round(0.25 * rec.p)
 
 
+def test_run_convergence_rounds_the_exact_product_of_a_huge_R():
+    # 1e308 * p overflows a float; the exact product is a multiple of p,
+    # so the sequence is the unrotated one.
+    for rec in run_convergence(1e308, 1.0, 100, 200, 2):
+        assert rec.r == int(1e308) * rec.p
+        assert rec.t == rec.p
+        g = littlewoodize(fekete_coeffs(FeketeSpec(rec.p, 0, rec.t)))
+        assert rec.l4_pow4 == l4_norm_pow4(g)
+
+
 def test_run_convergence_validates_arguments():
     with pytest.raises(ValueError):
         run_convergence(0.25, 0.0, 100, 200, 4)

@@ -287,9 +287,7 @@ def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
         autocorrelation_fast(seq)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_autocorrelation_fast_equals_naive_for_any_round_block(monkeypatch, block):
-    monkeypatch.setattr(sequences, "_ROUND_BLOCK", block)
+def test_autocorrelation_fast_equals_naive_for_lists_and_integer_arrays():
     rng = np.random.RandomState(29)
     for t in list(range(1, 65)) + [1000]:
         values = rng.choice([-1, 0, 1], size=t)
@@ -301,9 +299,8 @@ def test_autocorrelation_fast_equals_naive_for_any_round_block(monkeypatch, bloc
 
 
 @pytest.mark.parametrize("index", [0, 19])
-def test_autocorrelation_fast_checks_every_round_block(monkeypatch, index):
-    # t = 20 in blocks of 7: index 0 is in the first block, 19 in the last
-    monkeypatch.setattr(sequences, "_ROUND_BLOCK", 7)
+def test_autocorrelation_fast_checks_every_value(monkeypatch, index):
+    # t = 20: the first and the last value each trip the residual guard
     seq = np.random.RandomState(31).choice([-1, 1], size=20)
     real_irfft = np.fft.irfft
 
@@ -315,6 +312,20 @@ def test_autocorrelation_fast_checks_every_round_block(monkeypatch, index):
     monkeypatch.setattr(np.fft, "irfft", irfft_off_by_a_quarter_at_one_index)
     with pytest.raises(KernelPrecisionError, match="residual 2.500e-01 at length 20"):
         autocorrelation_fast(seq)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_autocorrelation_fast_rejects_a_nan_residual(monkeypatch):
+    real_irfft = np.fft.irfft
+
+    def irfft_with_a_nan(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
+    with pytest.raises(KernelPrecisionError, match="residual nan at length 8"):
+        autocorrelation_fast([1, -1, 1, 1, -1, -1, 1, 1])
 
 
 def test_autocorrelation_fast_peak_memory():
