@@ -287,15 +287,21 @@ def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
         autocorrelation_fast(seq)
 
 
-def test_autocorrelation_fast_equals_naive_for_lists_and_integer_arrays():
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_autocorrelation_fast_equals_naive_for_any_round_block(block):
+    # The rounding step runs through numpy's ufunc buffer, which must hold a
+    # multiple of 16 elements: 16, 112 and 1024 values per block here, so
+    # blocks smaller than t, not dividing t and larger than t are all met.
     rng = np.random.RandomState(29)
-    for t in list(range(1, 65)) + [1000]:
-        values = rng.choice([-1, 0, 1], size=t)
-        expected = autocorrelation_naive(values.astype(np.int8))
-        for seq in (values.tolist(), values.astype(np.int8), values.astype(np.int64)):
-            c = autocorrelation_fast(seq)
-            assert c.dtype == np.int64
-            assert (c == expected).all()
+    with np.errstate():
+        np.setbufsize(16 * block)
+        for t in list(range(1, 65)) + [1000]:
+            values = rng.choice([-1, 0, 1], size=t)
+            expected = autocorrelation_naive(values.astype(np.int8))
+            for seq in (values.tolist(), values.astype(np.int8), values.astype(np.int64)):
+                c = autocorrelation_fast(seq)
+                assert c.dtype == np.int64
+                assert (c == expected).all()
 
 
 @pytest.mark.parametrize("index", [0, 19])
