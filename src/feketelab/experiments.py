@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -172,14 +174,13 @@ def run_convergence(
     divided by t^2.  Records are ordered by p.  A top rung longer than
     sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
-    if T <= 0:
-        raise ValueError(f"length fraction T must be positive, got {T}")
     if count < 2:
         raise ValueError(f"need count >= 2, got {count}")
+    R, T = float(R), float(T)  # so a float32 R or T cannot leak into the records
     limit = ratio_limit_u(R, T)
     # Every spec is validated, the top rung's length against MAX_LENGTH
     # included, before the first rung allocates anything.
-    R, T = Fraction(float(R)), Fraction(float(T))  # float() admits numpy scalars
+    R, T = Fraction(R), Fraction(T)
     specs = [
         FeketeSpec(p, _round_half_away(R * p), max(1, _round_half_away(T * p)))
         for p in prime_ladder(p_lo, p_hi, count)
@@ -206,73 +207,67 @@ def run_convergence(
     return records
 
 
-_RECORD_FIELDS = ("p", "r", "t", "l4_pow4", "ratio4", "limit", "abs_err", "rel_err")
-_FLOAT_FIELDS = ("ratio4", "limit", "abs_err", "rel_err")
-
-
 def sig15(x: float) -> float:
     """x rounded to the 15 significant digits every exported float carries."""
     return float(f"{x:.15g}")
 
 
-def _record_row(rec: ExperimentRecord) -> dict:
-    row = {name: getattr(rec, name) for name in _RECORD_FIELDS}
-    for name in _FLOAT_FIELDS:
-        row[name] = sig15(row[name])
-    return row
-
-
-def _write_rows(handle, rows: list[dict], format: str) -> None:
-    if format == "csv":
-        writer = csv.DictWriter(handle, fieldnames=_RECORD_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    name: f"{value:.15g}" if name in _FLOAT_FIELDS else value
-                    for name, value in row.items()
-                }
-            )
-    else:
-        json.dump(rows, handle, indent=2)
-        handle.write("\n")
-
-
-def _is_stream(path) -> bool:
-    """True if path, links followed, is a FIFO or a character device."""
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        return False
-    return stat.S_ISFIFO(mode) or stat.S_ISCHR(mode)
+def _render(records, format: str) -> str:
+    """The records as CSV or JSON text, floats at 15 significant digits;
+    the columns, and which are floats, are ExperimentRecord's fields."""
+    fields = get_type_hints(ExperimentRecord)
+    rows = [
+        {name: sig15(getattr(rec, name)) if kind is float else getattr(rec, name)
+         for name, kind in fields.items()}
+        for rec in records
+    ]
+    if format == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(f"{v:.15g}" if isinstance(v, float) else v for v in row.values())
+    return text.getvalue()
 
 
 def export_records(records, format: str, destination) -> None:
     """Write records as CSV or JSON with floats at 15 significant digits.
 
-    The file is written beside the destination under a temporary name and
-    then renamed over it, so a failed write leaves no partial file behind.
-    A symlink is resolved first: its target receives the records and the
-    link stays a link.  A FIFO or a character device (/dev/stdout) cannot
-    be renamed over and is written directly.
+    The text is rendered before any file is opened.  The same file as
+    descriptor 1 (/dev/stdout, whatever standard output is) is written
+    through it after sys.stdout is flushed, so the caller's output keeps
+    its order; any other FIFO or character device is written in place.
+    Anything else is written beside its target (a symlink is resolved, and
+    stays a link) under a temporary name and renamed over it, so a failed
+    write leaves no partial file behind.
     """
     records = list(records)
     if not records:
         raise ValueError("no records to export")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    rows = [_record_row(rec) for rec in records]
+    text = _render(records, format)
+    info = stdout = None
+    with contextlib.suppress(OSError):
+        info = os.stat(destination)
+    with contextlib.suppress(OSError):  # a closed descriptor 1 matches nothing
+        stdout = os.fstat(1)
     temporary = None
     try:
-        if _is_stream(destination):
+        if info is not None and stdout is not None and os.path.samestat(info, stdout):
+            sys.stdout.flush()
+            with open(1, "w", newline="", closefd=False) as handle:
+                handle.write(text)
+        elif info is not None and (stat.S_ISFIFO(info.st_mode) or stat.S_ISCHR(info.st_mode)):
             with open(destination, "w", newline="") as handle:
-                _write_rows(handle, rows, format)
+                handle.write(text)
         else:
             target = os.path.realpath(destination)
             head, tail = os.path.split(target)
             temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
             with open(temporary, "x", newline="") as handle:
-                _write_rows(handle, rows, format)
+                handle.write(text)
             os.replace(temporary, target)
     except BaseException as exc:
         if temporary is not None:

@@ -1,19 +1,21 @@
-"""Deterministic primality testing and prime enumeration."""
+"""Deterministic primality testing and prime enumeration, with no cache.
+
+Arguments may be any integral type; bool, floats and other types raise
+ValueError naming the argument.
+"""
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 
 # Witnesses proving compositeness for every composite below 3.3e24,
 # which covers the full 64-bit range (Sorenson & Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-# Bounded: a range scan would otherwise keep one entry per odd number tested.
-@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers."""
+    n = as_int(n, "n")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -63,6 +65,7 @@ def require_odd_prime(p) -> int:
 
 def primes_in(lo: int, hi: int) -> list[int]:
     """All odd primes in [lo, hi], ascending."""
+    lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
     if not (3 <= lo <= hi < 2**63):
         raise ValueError(f"need 3 <= lo <= hi < 2^63, got [{lo}, {hi}]")
     start = lo if lo % 2 == 1 else lo + 1
@@ -71,7 +74,7 @@ def primes_in(lo: int, hi: int) -> list[int]:
 
 def next_prime_at_least(n: int) -> int:
     """Smallest odd prime >= n."""
-    n = max(n, 3)
+    n = max(as_int(n, "n"), 3)
     if n % 2 == 0:
         n += 1
     while not is_prime(n):

@@ -151,6 +151,11 @@ def test_gauss_sum_residual_examples(p, j, tol):
     assert gauss_sum_residual(p, j) < tol
 
 
+def test_gauss_sum_residual_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="odd prime"):
+        gauss_sum_residual(9, 1)
+
+
 def test_gauss_sum_residual_all_small_p():
     for p in primes_in(3, 101):
         for j in range(p):

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import socket
+import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,6 +259,63 @@ def test_scan_accepts_a_rotation_fraction_whose_products_overflow(tmp_path, caps
     assert code == 0 and err == ""
     assert "wrote 2 records" in out
     assert len(out_file.read_text().splitlines()) == 3
+
+
+_SCAN_TO_STDOUT = (
+    "scan", "--R", "0.25", "--T", "1", "--pmin", "100", "--pmax", "200", "--count", "2",
+    "--out", "/dev/stdout",
+)
+needs_dev_stdout = pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+
+
+def _scan_to_stdout(stdout):
+    """`python -m feketelab.cli scan ... --out /dev/stdout` in a subprocess
+    whose standard output is `stdout`."""
+    source = Path(experiments.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "feketelab.cli", *_SCAN_TO_STDOUT],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(source)),
+        timeout=120,
+    )
+
+
+def _scan_stdout_bytes(tmp_path) -> bytes:
+    """What the scan should print: its CSV, then its summary line."""
+    expected = tmp_path / "expected.csv"
+    experiments.export_records(experiments.run_convergence(0.25, 1.0, 100, 200, 2), "csv", expected)
+    return expected.read_bytes() + b"wrote 2 records to /dev/stdout\n"
+
+
+@needs_dev_stdout
+def test_scan_to_dev_stdout_keeps_a_regular_files_earlier_and_later_lines(tmp_path):
+    log = tmp_path / "log.txt"
+    with open(log, "wb") as handle:
+        handle.write(b"before\n")
+        handle.flush()
+        result = _scan_to_stdout(handle)
+        handle.write(b"after\n")
+    assert result.returncode == 0, result.stderr
+    assert log.read_bytes() == b"before\n" + _scan_stdout_bytes(tmp_path) + b"after\n"
+
+
+@needs_dev_stdout
+def test_scan_to_dev_stdout_writes_into_a_socket(tmp_path):
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        result = _scan_to_stdout(theirs)
+        theirs.close()
+        received = b"".join(iter(lambda: ours.recv(65536), b""))
+    assert result.returncode == 0, result.stderr
+    assert received == _scan_stdout_bytes(tmp_path)
+
+
+@needs_dev_stdout
+def test_scan_to_dev_stdout_writes_into_a_pipe(tmp_path):
+    result = _scan_to_stdout(subprocess.PIPE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == _scan_stdout_bytes(tmp_path)
 
 
 def test_norm_reports_precision_failure(capsys, monkeypatch):

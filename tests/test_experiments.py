@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feketelab.asymptotics import ratio_limit_u
 from feketelab.experiments import (
     export_records,
     five_term_decomposition,
@@ -189,6 +190,12 @@ def test_run_convergence_rounds_the_exact_product_of_a_huge_R():
         assert rec.l4_pow4 == l4_norm_pow4(g)
 
 
+def test_run_convergence_records_python_floats_for_float32_arguments():
+    rec = run_convergence(np.float32(0.25), np.float32(1.0), 100, 200, 2)[0]
+    assert rec.limit == ratio_limit_u(0.25, 1.0)
+    assert type(rec.limit) is float
+
+
 def test_run_convergence_validates_arguments():
     with pytest.raises(ValueError):
         run_convergence(0.25, 0.0, 100, 200, 4)
@@ -274,21 +281,41 @@ def test_export_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fmt
     kept = tmp_path / "kept.csv"
     kept.write_text("previous contents\n")
     fresh = tmp_path / "fresh.csv"
+    written = []
 
-    real_writerow = experiments.csv.DictWriter.writerow
+    class HalfThenFail:
+        """A file handle whose write stores half the text, then fails."""
 
-    def writerow_then_fail(writer, row):
-        real_writerow(writer, row)
-        raise OSError("disk full")
+        def __init__(self, handle):
+            self.handle = handle
 
-    def dump_then_fail(rows, handle, **kwargs):
-        handle.write("[\n")
-        raise OSError("disk full")
+        def __enter__(self):
+            return self
 
-    monkeypatch.setattr(experiments.csv.DictWriter, "writerow", writerow_then_fail)
-    monkeypatch.setattr(experiments.json, "dump", dump_then_fail)
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            written.append(os.fstat(self.handle.fileno()).st_size)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(
+        experiments, "open", lambda *a, **k: HalfThenFail(open(*a, **k)), raising=False
+    )
     for destination in (kept, fresh):
         with pytest.raises(OSError, match="disk full"):
+            export_records(records, fmt, destination)
+    assert len(written) == 2 and min(written) > 0
+    monkeypatch.undo()
+
+    def fail_to_render(x):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(experiments, "sig15", fail_to_render)
+    for destination in (kept, fresh):
+        with pytest.raises(ValueError, match="cannot render"):
             export_records(records, fmt, destination)
     assert kept.read_text() == "previous contents\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.csv"]

@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import feketelab
+from feketelab.characters import legendre_table
 from feketelab.primality import is_prime, next_prime_at_least, primes_in, require_odd_prime
 
 
@@ -79,9 +84,34 @@ def test_require_odd_prime_accepts_numpy_integers(itype):
         require_odd_prime(itype(9))
 
 
-def test_is_prime_cache_is_bounded():
-    is_prime.cache_clear()
-    primes_in(3, 20_001)  # 10^4 odd candidates
-    info = is_prime.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize < 10_000
+@pytest.mark.parametrize(
+    "function,args,named",
+    [
+        (is_prime, (1000003.0,), "n"),
+        (is_prime, (True,), "n"),
+        (next_prime_at_least, (1000003.0,), "n"),
+        (primes_in, (3.0, 10.5), "lo"),
+        (primes_in, (3, 10.5), "hi"),
+    ],
+)
+def test_primality_rejects_non_integers_naming_the_argument(function, args, named):
+    with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+        function(*args)
+
+
+def test_primality_accepts_numpy_integers():
+    assert is_prime(np.int64(1000003)) is True
+    assert next_prime_at_least(np.int32(100)) == 101
+    assert primes_in(np.int64(3), np.int64(20)) == [3, 5, 7, 11, 13, 17, 19]
+
+
+def test_every_package_cache_is_bounded():
+    caches = {
+        obj
+        for module in pkgutil.iter_modules(feketelab.__path__, "feketelab.")
+        for obj in vars(importlib.import_module(module.name)).values()
+        if callable(getattr(obj, "cache_info", None))
+    }
+    assert legendre_table in caches
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None, cache
