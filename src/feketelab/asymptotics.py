@@ -169,18 +169,17 @@ def u4_closed_form(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
 def solve_cubic_root(
     c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
 ) -> float:
-    """Root of c3 x^3 + c2 x^2 + c1 x + c0 in [lo, hi] via bisection.
+    """Root of c3 x^3 + c2 x^2 + c1 x + c0 in [lo, hi] via bisection to
+    adjacent floats.
 
-    The cubic must change sign on the bracket.  The bisection result is
-    polished with a few clamped Newton steps; on well-conditioned
-    brackets the residual lands near 1e-14 * max coefficient.
+    The cubic must change sign on the bracket.  The bracket is halved
+    until its ends are adjacent floats, and its midpoint is returned with
+    no polish; on well-conditioned brackets the residual lands near
+    1e-14 * max coefficient.
     """
 
     def f(x: float) -> float:
         return ((c3 * x + c2) * x + c1) * x + c0
-
-    def fprime(x: float) -> float:
-        return (3.0 * c3 * x + 2.0 * c2) * x + c1
 
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
@@ -191,7 +190,7 @@ def solve_cubic_root(
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     a, b = lo, hi
     for _ in range(200):
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow
         if mid == a or mid == b:
             break
         fm = f(mid)
@@ -201,13 +200,7 @@ def solve_cubic_root(
             a, fa = mid, fm
         else:
             b = mid
-    x = 0.5 * (a + b)
-    for _ in range(3):
-        d = fprime(x)
-        if d == 0.0:
-            break
-        x = min(max(x - f(x) / d, lo), hi)
-    return x
+    return 0.5 * a + 0.5 * b
 
 
 class RecordConstants(NamedTuple):

@@ -234,13 +234,13 @@ def _render(records, format: str) -> str:
 def export_records(records, format: str, destination) -> None:
     """Write records as CSV or JSON with floats at 15 significant digits.
 
-    The text is rendered before any file is opened.  The same file as
-    descriptor 1 (/dev/stdout, whatever standard output is) is written
-    through it after sys.stdout is flushed, so the caller's output keeps
-    its order; any other FIFO or character device is written in place.
-    Anything else is written beside its target (a symlink is resolved, and
-    stays a link) under a temporary name and renamed over it, so a failed
-    write leaves no partial file behind.
+    The text is rendered before any file is opened.  A destination that is
+    the same file as descriptor 1 or 2 (/dev/stdout, /dev/stderr) is written
+    through that descriptor, and any other FIFO or character device is
+    opened by name; both after sys.stdout and sys.stderr are flushed, so the
+    caller's output keeps its order.  Anything else is written beside its
+    target (a symlink is resolved, and stays a link) under a temporary name
+    and renamed over it, so a failed write leaves no partial file behind.
     """
     records = list(records)
     if not records:
@@ -248,19 +248,19 @@ def export_records(records, format: str, destination) -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     text = _render(records, format)
-    info = stdout = None
+    in_place = temporary = None
     with contextlib.suppress(OSError):
         info = os.stat(destination)
-    with contextlib.suppress(OSError):  # a closed descriptor 1 matches nothing
-        stdout = os.fstat(1)
-    temporary = None
+        if stat.S_ISFIFO(info.st_mode) or stat.S_ISCHR(info.st_mode):
+            in_place = destination
+        for fd in (2, 1):  # descriptor 1 wins when both match
+            with contextlib.suppress(OSError):  # a closed descriptor matches nothing
+                in_place = fd if os.path.samestat(info, os.fstat(fd)) else in_place
     try:
-        if info is not None and stdout is not None and os.path.samestat(info, stdout):
+        if in_place is not None:
             sys.stdout.flush()
-            with open(1, "w", newline="", closefd=False) as handle:
-                handle.write(text)
-        elif info is not None and (stat.S_ISFIFO(info.st_mode) or stat.S_ISCHR(info.st_mode)):
-            with open(destination, "w", newline="") as handle:
+            sys.stderr.flush()
+            with open(in_place, "w", newline="", closefd=not isinstance(in_place, int)) as handle:
                 handle.write(text)
         else:
             target = os.path.realpath(destination)

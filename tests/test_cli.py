@@ -261,61 +261,76 @@ def test_scan_accepts_a_rotation_fraction_whose_products_overflow(tmp_path, caps
     assert len(out_file.read_text().splitlines()) == 3
 
 
-_SCAN_TO_STDOUT = (
+_SCAN_TO_STREAM = (
     "scan", "--R", "0.25", "--T", "1", "--pmin", "100", "--pmax", "200", "--count", "2",
-    "--out", "/dev/stdout",
 )
-needs_dev_stdout = pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+needs_dev_streams = pytest.mark.skipif(
+    not (os.path.exists("/dev/stdout") and os.path.exists("/dev/stderr")),
+    reason="needs /dev/stdout and /dev/stderr",
+)
+standard_streams = pytest.mark.parametrize("out", ["/dev/stdout", "/dev/stderr"])
 
 
-def _scan_to_stdout(stdout):
-    """`python -m feketelab.cli scan ... --out /dev/stdout` in a subprocess
-    whose standard output is `stdout`."""
+def _scan_into(stream, out):
+    """`python -m feketelab.cli scan ... --out OUT` in a subprocess whose
+    stream OUT (/dev/stdout or /dev/stderr) is `stream` and whose other
+    standard stream is piped.  Returns the exit code, what OUT received
+    if `stream` is a pipe (else None), and what the other stream received."""
     source = Path(experiments.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, "-m", "feketelab.cli", *_SCAN_TO_STDOUT],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
+    named, other = ("stdout", "stderr") if out == "/dev/stdout" else ("stderr", "stdout")
+    result = subprocess.run(
+        [sys.executable, "-m", "feketelab.cli", *_SCAN_TO_STREAM, "--out", out],
+        **{named: stream, other: subprocess.PIPE},
         env=dict(os.environ, PYTHONPATH=str(source)),
         timeout=120,
     )
+    return result.returncode, getattr(result, named), getattr(result, other)
 
 
-def _scan_stdout_bytes(tmp_path) -> bytes:
-    """What the scan should print: its CSV, then its summary line."""
+def _scan_stream_bytes(tmp_path, out):
+    """What the scan should print into OUT and into the other standard
+    stream: the CSV goes to OUT, its summary line to standard output."""
     expected = tmp_path / "expected.csv"
     experiments.export_records(experiments.run_convergence(0.25, 1.0, 100, 200, 2), "csv", expected)
-    return expected.read_bytes() + b"wrote 2 records to /dev/stdout\n"
+    summary = f"wrote 2 records to {out}\n".encode()
+    if out == "/dev/stdout":
+        return expected.read_bytes() + summary, b""
+    return expected.read_bytes(), summary
 
 
-@needs_dev_stdout
-def test_scan_to_dev_stdout_keeps_a_regular_files_earlier_and_later_lines(tmp_path):
+@needs_dev_streams
+@standard_streams
+def test_scan_to_dev_stdout_keeps_a_regular_files_earlier_and_later_lines(tmp_path, out):
     log = tmp_path / "log.txt"
     with open(log, "wb") as handle:
         handle.write(b"before\n")
         handle.flush()
-        result = _scan_to_stdout(handle)
+        code, _, other = _scan_into(handle, out)
         handle.write(b"after\n")
-    assert result.returncode == 0, result.stderr
-    assert log.read_bytes() == b"before\n" + _scan_stdout_bytes(tmp_path) + b"after\n"
+    assert code == 0, other
+    into_out, into_other = _scan_stream_bytes(tmp_path, out)
+    assert log.read_bytes() == b"before\n" + into_out + b"after\n"
+    assert other == into_other
 
 
-@needs_dev_stdout
-def test_scan_to_dev_stdout_writes_into_a_socket(tmp_path):
+@needs_dev_streams
+@standard_streams
+def test_scan_to_dev_stdout_writes_into_a_socket(tmp_path, out):
     ours, theirs = socket.socketpair()
     with ours, theirs:
-        result = _scan_to_stdout(theirs)
+        code, _, other = _scan_into(theirs, out)
         theirs.close()
         received = b"".join(iter(lambda: ours.recv(65536), b""))
-    assert result.returncode == 0, result.stderr
-    assert received == _scan_stdout_bytes(tmp_path)
+    assert code == 0, other
+    assert (received, other) == _scan_stream_bytes(tmp_path, out)
 
 
-@needs_dev_stdout
-def test_scan_to_dev_stdout_writes_into_a_pipe(tmp_path):
-    result = _scan_to_stdout(subprocess.PIPE)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == _scan_stdout_bytes(tmp_path)
+@needs_dev_streams
+@standard_streams
+def test_scan_to_dev_stdout_writes_into_a_pipe(tmp_path, out):
+    code, received, other = _scan_into(subprocess.PIPE, out)
+    assert code == 0, other
+    assert (received, other) == _scan_stream_bytes(tmp_path, out)
 
 
 def test_norm_reports_precision_failure(capsys, monkeypatch):
