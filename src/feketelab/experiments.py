@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -235,7 +236,8 @@ def export_records(records, format: str, destination) -> None:
     """Write records as CSV or JSON with floats at 15 significant digits.
 
     The text is rendered before any file is opened.  A destination that is
-    the same file as descriptor 1 or 2 (/dev/stdout, /dev/stderr) is written
+    the same file as descriptor 1 or 2 (/dev/stdout, /dev/stderr), or that
+    names an open descriptor N as /dev/fd/N or /proc/self/fd/N, is written
     through that descriptor, and any other FIFO or character device is
     opened by name; both after sys.stdout and sys.stderr are flushed, so the
     caller's output keeps its order.  Anything else is written beside its
@@ -249,11 +251,13 @@ def export_records(records, format: str, destination) -> None:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     text = _render(records, format)
     in_place = temporary = None
+    named = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]+)", os.fsdecode(destination))
     with contextlib.suppress(OSError):
         info = os.stat(destination)
         if stat.S_ISFIFO(info.st_mode) or stat.S_ISCHR(info.st_mode):
             in_place = destination
-        for fd in (2, 1):  # descriptor 1 wins when both match
+        # the named descriptor wins, then descriptor 1, then 2
+        for fd in (2, 1) + ((int(named[1]),) if named else ()):
             with contextlib.suppress(OSError):  # a closed descriptor matches nothing
                 in_place = fd if os.path.samestat(info, os.fstat(fd)) else in_place
     try:

@@ -13,11 +13,15 @@ products, not the t^2 of a correlation over all 2t - 1 lags.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 
-Memory: the spectral kernel holds three full-length arrays, the rfft
-spectrum, the irfft output and the int64 result, plus pocketfft's own
-scratch in each transform, and rounds in place; an exact norm at t ~ 1e7
-peaks near 70 bytes of RSS per coefficient.  FeketeSpec caps t at
-MAX_LENGTH, so a length is rejected before anything is allocated for it.
+Memory: from 2**14 coefficients up, the spectral kernel splits the
+sequence in halves too, and transforms each at about t points instead
+of one transform at about 2t.  At most three arrays of about 8t bytes
+are live at once (half spectra, an irfft output, the int64 result),
+plus pocketfft's own scratch in each transform, about 16 bytes per
+point, and every irfft output is rounded straight into the result; an
+exact norm at t ~ 1e7 peaks near 45 bytes of RSS per coefficient.
+FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
+anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .primality import as_int, require_odd_prime
 
 
 # Longest sequence a FeketeSpec accepts: 2**25 = 33,554,432 coefficients,
-# about 2.3 GB of peak RSS for one exact norm at ~70 bytes per coefficient.
+# about 1.5 GB of peak RSS for one exact norm at ~45 bytes per coefficient.
 MAX_LENGTH = 2**25
 
 
@@ -185,46 +189,99 @@ def _smooth_length(m: int) -> int:
     return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, m)]
 
 
-def autocorrelation_fast(seq) -> np.ndarray:
-    """Same integer output as autocorrelation_naive in O(t log t).
+# Shortest sequence the spectral kernel splits in halves.  Below it the
+# split's extra numpy calls cost more than its shorter transforms save.
+_SPLIT_MIN = 2**14
 
-    Spectral convolution of the sequence with its reversal, zero-padded
-    to the smallest n = 2^a 3^b 5^c >= 2t-1.  Raises KernelPrecisionError
-    if any value fails to round cleanly to an integer (residual >= 1e-3
-    or NaN).
 
-    Memory: only three full-length arrays exist, the complex spectrum
-    (8n bytes), the irfft output (8n) and the int64 result (8t).  The
-    spectrum is dropped before the result is allocated, so the peak is
-    about 16n bytes, 32t to 34t for t >= 1000, plus pocketfft's own
-    scratch inside each transform.  The power spectrum is formed in
-    place and handed to irfft as a complex array with zero imaginary
-    parts, so irfft makes no complex copy of a real input.  rint writes
-    the int64 result directly, and the irfft output is overwritten by
-    |c - rint(c)|; numpy's ufunc buffers are the only other temporaries.
-    The float operations are those of re**2 + im**2 followed by a real
-    irfft, so the values and the residual do not depend on this layout.
+def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
+    """Round values into the int64 array out, under the residual guard.
+
+    values is overwritten by |values - rint(values)|; raises
+    KernelPrecisionError unless every entry is below 1e-3 (a NaN fails
+    too).  out holds integers of magnitude <= t < 2**53, exact in float64.
     """
-    f = _coefficients(seq)
-    t = f.size
-    n = _smooth_length(2 * t - 1)
-    spectrum = np.fft.rfft(f, n)
+    np.rint(values, out=out, casting="unsafe")
+    np.abs(np.subtract(values, out, out=values), out=values)
+    residual = float(values.max())
+    if not residual < 1e-3:
+        raise KernelPrecisionError(
+            f"autocorrelation rounding residual {residual:.3e} at length {t}"
+        )
+
+
+def _to_power(spectrum: np.ndarray) -> np.ndarray:
+    """Overwrite a complex spectrum by |z|^2 + 0j; return its real parts.
+
+    irfft then gets a complex array, so it makes no complex copy of a
+    real input.
+    """
     parts = spectrum.view(np.float64)
     re, im = parts[0::2], parts[1::2]
     np.square(parts, out=parts)
     np.add(re, im, out=re)
     im.fill(0.0)
-    corr = np.fft.irfft(spectrum, n)[:t]
-    del spectrum, parts, re, im
+    return re
+
+
+def autocorrelation_fast(seq) -> np.ndarray:
+    """Same integer output as autocorrelation_naive in O(t log t).
+
+    Raises KernelPrecisionError if any value fails to round cleanly to an
+    integer (residual >= 1e-3 or NaN).  Below 2**14 coefficients: one
+    spectral convolution of the sequence with its reversal, zero-padded
+    to the smallest n = 2^a 3^b 5^c >= 2t-1.  From 2**14 up the sequence
+    is cut at h = t // 2 into A and B, as in autocorrelation_naive, and
+    both halves are transformed at the smallest 5-smooth m >= t, about
+    n / 2.  The inverse of |A|^2 + |B|^2 holds c_A + c_B at lags
+    0 .. t-h-1, and the inverse of conj(A) B holds at index k mod m the
+    sum of A_j B_{j+k}, the pairs of lag h + k, for k = -(h-1) .. t-h-1;
+    neither wraps, since m >= t.
+
+    Memory, short path: the spectrum (8n bytes), the irfft output (8n)
+    and the int64 result (8t), the spectrum dropped before the result is
+    allocated.  Split path: arrays of about 8m bytes each, the two half
+    spectra, the cross spectrum, one irfft output at a time and the int64
+    result, allocated after the cross inverse; at most three are live,
+    about 24t bytes against the short path's 16n, about 32t.  Each
+    transform adds pocketfft's own scratch, about 16 bytes per point of
+    its length, which the split halves too.  Every irfft output is
+    rounded straight into the result by one guard, with numpy's ufunc
+    buffers the only other temporaries.
+    """
+    f = _coefficients(seq)
+    t = f.size
+    if t < _SPLIT_MIN:
+        n = _smooth_length(2 * t - 1)
+        spectrum = np.fft.rfft(f, n)
+        _to_power(spectrum)
+        corr = np.fft.irfft(spectrum, n)[:t]
+        del spectrum
+        out = np.empty(t, dtype=np.int64)
+        _round_into(corr, out, t)
+        return out
+    h = t // 2
+    m = _smooth_length(t)
+    fa = np.fft.rfft(f[:h], m)
+    fb = np.fft.rfft(f[h:], m)
+    cross = np.conjugate(fa)
+    np.multiply(cross, fb, out=cross)
+    power = _to_power(fb)
+    power += _to_power(fa)
+    del fa, power
+    pairs = np.fft.irfft(cross, m)
+    del cross
     out = np.empty(t, dtype=np.int64)
-    np.rint(corr, out=out, casting="unsafe")
-    # corr becomes |c - rint(c)|; out holds |c| <= t < 2**53, exact in float64.
-    np.abs(np.subtract(corr, out, out=corr), out=corr)
-    residual = float(corr.max())
-    if not residual < 1e-3:  # a NaN residual fails too
-        raise KernelPrecisionError(
-            f"autocorrelation rounding residual {residual:.3e} at length {t}"
-        )
+    _round_into(pairs[m - h :], out[:h], t)
+    _round_into(pairs[: t - h], out[h:], t)
+    del pairs
+    halves = np.fft.irfft(fb, m)[: t - h]
+    del fb
+    # out[:t-h] holds the rounded cross terms, integers of magnitude <= t:
+    # adding them moves no value across a half-integer, so rint of the
+    # sum is c there and its residual is that of c_A + c_B
+    np.add(halves, out[: t - h], out=halves)
+    _round_into(halves, out[: t - h], t)
     return out
 
 

@@ -364,3 +364,22 @@ def test_export_to_a_fifo_writes_in_place(tmp_path, through_link):
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         {"pipe", destination.name}
     )
+
+
+@pytest.mark.parametrize("prefix", ["/dev/fd", "/proc/self/fd"])
+def test_export_to_a_named_descriptor_writes_through_it(tmp_path, prefix):
+    if not os.path.isdir(prefix):
+        pytest.skip(f"needs {prefix}")
+    records = _sample_records()
+    reference = tmp_path / "reference.csv"
+    export_records(records, "csv", reference)
+    out = tmp_path / "three.txt"
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        os.write(fd, b"before\n")
+        export_records(records, "csv", f"{prefix}/{fd}")
+        os.write(fd, b"after\n")
+    finally:
+        os.close(fd)
+    assert out.read_text() == "before\n" + reference.read_text() + "after\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv", "three.txt"]

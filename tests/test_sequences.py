@@ -155,6 +155,55 @@ def test_autocorrelation_fast_equals_naive():
         assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
 
 
+def test_split_kernel_equals_naive_around_the_split_bound():
+    # 2**14 - 1 takes the single transform; the others split, 2**14 + 1
+    # and 2**14 + 3 into halves of unequal length
+    rng = np.random.RandomState(41)
+    assert sequences._SPLIT_MIN == 2**14
+    for t in (2**14 - 1, 2**14, 2**14 + 1, 2**14 + 3):
+        seq = rng.choice(np.array([-1, 1], dtype=np.int8), size=t)
+        assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+def test_split_kernel_all_ones():
+    # c_u = t - u: the largest sums, and the largest residual, at this length
+    ones = np.ones(2**16, dtype=np.int8)
+    c = autocorrelation_fast(ones)
+    assert (c == autocorrelation_naive(ones)).all()
+    assert (c == np.arange(2**16, 0, -1)).all()
+
+
+def test_split_kernel_raw_fekete_sequence():
+    # p < t, so the raw sequence repeats with a zero in every period
+    seq = fekete_coeffs(FeketeSpec(10007, 1234, 2**14 + 5000))
+    assert np.count_nonzero(seq == 0) == 2
+    assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("call,index", [(0, 0), (0, -1), (1, 0)])
+def test_split_kernel_guards_each_inverse(monkeypatch, call, index):
+    # Call 0 inverts the cross spectrum: index 0 is lag h, index -1 lag
+    # h - 1 (wrapped).  Call 1 inverts the power spectrum: index 0 is lag 0.
+    t = 2**14 + 1
+    seq = np.random.RandomState(43).choice([-1, 1], size=t)
+    real_irfft = np.fft.irfft
+    calls = []
+
+    def irfft_with_a_nan(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        if len(calls) == call:
+            out[index] = np.nan
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
+    with pytest.raises(KernelPrecisionError, match=f"residual nan at length {t}"):
+        autocorrelation_fast(seq)
+    assert len(calls) == call + 1
+    assert calls[0] == _smooth_length(t)
+
+
 def autocorrelation_by_loop(seq):
     """Oracle: the direct sum as one int64 dot product per lag."""
     f = np.asarray(seq).astype(np.int64)
@@ -335,9 +384,11 @@ def test_autocorrelation_fast_rejects_a_nan_residual(monkeypatch):
 
 
 def test_autocorrelation_fast_peak_memory():
-    # The spectrum (8n bytes) and the irfft output (8n) with n = 2t peak at
-    # 32 bytes per coefficient.  tracemalloc sees numpy's allocations only,
-    # not pocketfft's scratch inside each transform.
+    # The split path at m = t: two half spectra, one irfft output and the
+    # int64 result, of 8t bytes each, with at most three live, peak near
+    # 24 bytes per coefficient (one transform at n = 2t held 32).
+    # tracemalloc sees numpy's allocations only, not pocketfft's scratch
+    # inside each transform.
     t = 2**18
     seq = np.random.RandomState(37).choice(np.array([-1, 1], dtype=np.int8), size=t)
     tracemalloc.start()
@@ -348,7 +399,7 @@ def test_autocorrelation_fast_peak_memory():
     finally:
         tracemalloc.stop()
     assert c[0] == t
-    assert peak <= 40 * t
+    assert peak <= 30 * t
 
 
 @pytest.mark.parametrize(
