@@ -43,7 +43,10 @@ def cmd_norm(args) -> int:
     print(f"t: {spec.t}")
     print(f"l2_pow2: {l2}")
     print(f"l4_pow4: {l4}")
-    print(f"l4_over_l2: {l4**0.25 / l2**0.5!r}")
+    if l2:
+        print(f"l4_over_l2: {l4**0.25 / l2**0.5!r}")
+    else:  # a raw sequence of zeros: r = 0 mod p and t = 1
+        print("l4_over_l2: undefined (l2_pow2 is 0)")
     try:
         print(f"merit_factor: {_merit_factor(l2, l4)!r}")
     except ValueError:

@@ -53,7 +53,8 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-# Seconds any check may take; the slowest takes ~0.5 s on a 2-vCPU VM.
+# Seconds any check may take; the slowest, kernel-equality, took 0.30-0.44 s
+# (median 0.37 s) over 5 in-process runs on a 2-vCPU VM.
 CHECK_BUDGET_S = 2.0
 
 

@@ -134,9 +134,10 @@ def test_any_integer_dtype_is_reduced_mod_p():
     for dtype in (np.int8, np.uint8, np.int32, np.int64, np.uint64):
         res = quartic_char_sum(np.array(values, dtype=dtype), 2, 3, 7)
         assert res.value.tolist() == want
-    huge = np.array([2**64 - 1], dtype=np.uint64)
-    assert quartic_char_sum(huge, 2, 3, 7).value.tolist() == [
-        quartic_char_sum(2**64 - 1, 2, 3, 7).value
+    # wrapped to int64 these would read as residues 6 and 4, not 1 and 6
+    huge = [2**64 - 1, 2**64 - 3]
+    assert quartic_char_sum(np.array(huge, dtype=np.uint64), 2, 3, 7).value.tolist() == [
+        quartic_char_sum(v, 2, 3, 7).value for v in huge
     ]
     assert quartic_char_sum(-1, 2, 3, 7) == quartic_char_sum(6, 2, 3, 7)
     assert quartic_char_sum(np.int8(-1), 2, 3, 7) == quartic_char_sum(6, 2, 3, 7)

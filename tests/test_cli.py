@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from feketelab import experiments, sequences, suites
 from feketelab.asymptotics import record_constants
@@ -28,6 +28,10 @@ def test_norm_littlewood_example(capsys):
     assert code == 0
     assert "l4_pow4: 11" in out
     assert "merit_factor: 4.5" in out
+    # the split spectral kernel at t = 1,225,511, near the record point
+    code, out, _ = run(capsys, "norm", "--p", "1000003", "--r", "381888", "--t", "1225511")
+    assert code == 0
+    assert "l4_pow4: 2330464228007" in out.splitlines()
 
 
 def test_norm_raw_example(capsys):
@@ -117,6 +121,18 @@ def test_norm_degenerate_merit_factor(capsys):
     code, out, _ = run(capsys, "norm", "--p", "3", "--r", "1", "--t", "1")
     assert code == 0
     assert "merit_factor: undefined" in out
+
+
+def test_norm_of_a_sequence_of_zeros(capsys):
+    code, out, err = run(capsys, "norm", "--p", "3", "--r", "0", "--t", "1", "--raw")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "t: 1",
+        "l2_pow2: 0",
+        "l4_pow4: 0",
+        "l4_over_l2: undefined (l2_pow2 is 0)",
+        "merit_factor: undefined (l4_pow4 equals l2_pow2 squared)",
+    ]
 
 
 def test_limit_example(capsys):
@@ -234,7 +250,10 @@ def test_scan_json_format(tmp_path, capsys):
         "--out", str(out_file), "--format", "json",
     )
     assert code == 0
-    assert len(json.loads(out_file.read_text())) == 3
+    text = out_file.read_text()
+    rows = json.loads(text)
+    assert len(rows) == 3
+    assert text == json.dumps(rows, indent=2) + "\n"
 
 
 def test_scan_surfaces_io_failure(capsys):
@@ -265,72 +284,86 @@ _SCAN_TO_STREAM = (
     "scan", "--R", "0.25", "--T", "1", "--pmin", "100", "--pmax", "200", "--count", "2",
 )
 needs_dev_streams = pytest.mark.skipif(
-    not (os.path.exists("/dev/stdout") and os.path.exists("/dev/stderr")),
-    reason="needs /dev/stdout and /dev/stderr",
+    not all(os.path.exists(path) for path in ("/dev/stdout", "/dev/stderr", "/dev/fd")),
+    reason="needs /dev/stdout, /dev/stderr and /dev/fd",
 )
-standard_streams = pytest.mark.parametrize("out", ["/dev/stdout", "/dev/stderr"])
+# /dev/fd/N names the stream's own descriptor N, which the child inherits
+stream_outs = pytest.mark.parametrize("out", ["/dev/stdout", "/dev/stderr", "/dev/fd/N"])
 
 
-def _scan_into(stream, out):
-    """`python -m feketelab.cli scan ... --out OUT` in a subprocess whose
-    stream OUT (/dev/stdout or /dev/stderr) is `stream` and whose other
-    standard stream is piped.  Returns the exit code, what OUT received
-    if `stream` is a pipe (else None), and what the other stream received."""
+def _scan_between_lines(fd, out):
+    """Write `before` to descriptor fd, run `python -m feketelab.cli scan
+    ... --out OUT` in a subprocess whose OUT is fd, then write `after`.
+
+    OUT /dev/stdout or /dev/stderr makes fd the child's standard output or
+    error; /dev/fd/N passes fd down under its own number.  The standard
+    streams that are not fd are piped.  Returns the exit code, the --out
+    path given, and what each piped stream received, by name."""
     source = Path(experiments.__file__).resolve().parents[1]
-    named, other = ("stdout", "stderr") if out == "/dev/stdout" else ("stderr", "stdout")
+    named = {"/dev/stdout": "stdout", "/dev/stderr": "stderr"}.get(out)
+    out = out if named else f"/dev/fd/{fd}"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if named:
+        streams[named] = fd
+    os.write(fd, b"before\n")
     result = subprocess.run(
         [sys.executable, "-m", "feketelab.cli", *_SCAN_TO_STREAM, "--out", out],
-        **{named: stream, other: subprocess.PIPE},
+        **streams,
+        pass_fds=() if named else (fd,),
         env=dict(os.environ, PYTHONPATH=str(source)),
         timeout=120,
     )
-    return result.returncode, getattr(result, named), getattr(result, other)
+    os.write(fd, b"after\n")
+    piped = {name: getattr(result, name) for name in ("stdout", "stderr") if name != named}
+    return result.returncode, out, piped
 
 
-def _scan_stream_bytes(tmp_path, out):
-    """What the scan should print into OUT and into the other standard
-    stream: the CSV goes to OUT, its summary line to standard output."""
+def _assert_scan_between_lines(tmp_path, code, out, piped, received):
+    """fd received the CSV, and the summary line if it is standard output,
+    between `before` and `after`; the pipes received the rest: the summary
+    line on standard output, nothing on standard error."""
+    assert code == 0, piped
     expected = tmp_path / "expected.csv"
     experiments.export_records(experiments.run_convergence(0.25, 1.0, 100, 200, 2), "csv", expected)
     summary = f"wrote 2 records to {out}\n".encode()
-    if out == "/dev/stdout":
-        return expected.read_bytes() + summary, b""
-    return expected.read_bytes(), summary
+    into_fd = expected.read_bytes() + (summary if out == "/dev/stdout" else b"")
+    into_pipes = {"stdout": summary, "stderr": b""}
+    into_pipes = {name: data for name, data in into_pipes.items() if out != f"/dev/{name}"}
+    assert received == b"before\n" + into_fd + b"after\n"
+    assert piped == into_pipes
 
 
 @needs_dev_streams
-@standard_streams
+@stream_outs
 def test_scan_to_dev_stdout_keeps_a_regular_files_earlier_and_later_lines(tmp_path, out):
     log = tmp_path / "log.txt"
     with open(log, "wb") as handle:
-        handle.write(b"before\n")
-        handle.flush()
-        code, _, other = _scan_into(handle, out)
-        handle.write(b"after\n")
-    assert code == 0, other
-    into_out, into_other = _scan_stream_bytes(tmp_path, out)
-    assert log.read_bytes() == b"before\n" + into_out + b"after\n"
-    assert other == into_other
+        code, out, piped = _scan_between_lines(handle.fileno(), out)
+    _assert_scan_between_lines(tmp_path, code, out, piped, log.read_bytes())
 
 
 @needs_dev_streams
-@standard_streams
+@stream_outs
 def test_scan_to_dev_stdout_writes_into_a_socket(tmp_path, out):
     ours, theirs = socket.socketpair()
     with ours, theirs:
-        code, _, other = _scan_into(theirs, out)
+        code, out, piped = _scan_between_lines(theirs.fileno(), out)
         theirs.close()
         received = b"".join(iter(lambda: ours.recv(65536), b""))
-    assert code == 0, other
-    assert (received, other) == _scan_stream_bytes(tmp_path, out)
+    _assert_scan_between_lines(tmp_path, code, out, piped, received)
 
 
 @needs_dev_streams
-@standard_streams
+@stream_outs
 def test_scan_to_dev_stdout_writes_into_a_pipe(tmp_path, out):
-    code, received, other = _scan_into(subprocess.PIPE, out)
-    assert code == 0, other
-    assert (received, other) == _scan_stream_bytes(tmp_path, out)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        try:
+            code, out, piped = _scan_between_lines(write_end, out)
+        finally:
+            os.close(write_end)
+        received = reader.read()
+    _assert_scan_between_lines(tmp_path, code, out, piped, received)
 
 
 def test_norm_reports_precision_failure(capsys, monkeypatch):
@@ -432,6 +465,7 @@ _ARGV = st.one_of(
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_ARGV)
+@example(["norm", "--p=3", "--r=0", "--t=1", "--raw"])
 def test_cli_never_prints_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,7 @@
 import cmath
 import csv
 import json
+import math
 import os
 import stat
 import threading
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from feketelab.asymptotics import ratio_limit_u
 from feketelab.experiments import (
+    _round_half_away,
     export_records,
     five_term_decomposition,
     prime_ladder,
@@ -76,6 +78,8 @@ def test_decomposition_closed_forms_count_quadruples():
 def test_decomposition_rejects_oversize_length():
     with pytest.raises(ValueError):
         five_term_decomposition(FeketeSpec(10007, 0, 10_001))
+    rep = five_term_decomposition(FeketeSpec(10007, 0, 10_000))
+    assert rep.A == rep.B
 
 
 def brute_lemma_sum(n, t):
@@ -104,8 +108,13 @@ def test_technical_lemma_trivial_case():
 
 
 def test_technical_lemma_examples_hold():
-    assert technical_lemma_check(5, 5).ok
-    assert technical_lemma_check(24, 32).ok
+    for n, t in ((2, 1), (5, 5), (24, 32)):
+        res = technical_lemma_check(n, t)
+        assert res.ok
+        # ln n > 0 here, so each exponent of the lemma constant shows
+        assert res.bound == pytest.approx(
+            64 * max(n, t) ** 3 * (1 + math.log(n)) ** 3, rel=1e-12
+        )
 
 
 def test_technical_lemma_matches_bruteforce():
@@ -161,23 +170,33 @@ def test_prime_ladder_is_strictly_increasing_primes(p_lo, width, count):
 
 
 def test_run_convergence_record_fields():
-    records = run_convergence(0.25, 1.0, 100, 400, 3)
-    assert [rec.p for rec in records] == sorted(rec.p for rec in records)
-    for rec in records:
-        assert rec.r == round(0.25 * rec.p)
-        assert rec.t == round(1.0 * rec.p)
-        g = littlewoodize(fekete_coeffs(FeketeSpec(rec.p, rec.r, rec.t)))
-        assert rec.l4_pow4 == l4_norm_pow4(g)
-        assert rec.ratio4 == pytest.approx(rec.l4_pow4 / rec.t**2)
-        assert rec.ratio4 >= 1.0
-        assert rec.abs_err == pytest.approx(abs(rec.ratio4 - rec.limit))
-        assert rec.rel_err == pytest.approx(rec.abs_err / rec.limit)
+    # at T = 1e-6, T * p rounds to 0 and every length is the floor 1
+    for T in (1.0, 1e-6):
+        records = run_convergence(0.25, T, 100, 400, 3)
+        assert [rec.p for rec in records] == sorted(rec.p for rec in records)
+        for rec in records:
+            assert rec.r == round(0.25 * rec.p)
+            assert rec.t == max(1, round(T * rec.p))
+            g = littlewoodize(fekete_coeffs(FeketeSpec(rec.p, rec.r, rec.t)))
+            assert rec.l4_pow4 == l4_norm_pow4(g)
+            assert rec.ratio4 == pytest.approx(rec.l4_pow4 / rec.t**2)
+            assert rec.ratio4 >= 1.0
+            assert rec.abs_err == pytest.approx(abs(rec.ratio4 - rec.limit))
+            assert rec.rel_err == pytest.approx(rec.abs_err / rec.limit)
 
 
 def test_run_convergence_negative_R_rounding():
     records = run_convergence(-0.25, 1.0, 100, 200, 2)
     for rec in records:
         assert rec.r == -round(0.25 * rec.p)
+
+
+@pytest.mark.parametrize(
+    "x,expected",
+    [("1/2", 1), ("-1/2", -1), ("2/5", 0), ("-2/5", 0)],
+)
+def test_round_half_away_sends_ties_away_from_zero(x, expected):
+    assert _round_half_away(Fraction(x)) == expected
 
 
 def test_run_convergence_rounds_the_exact_product_of_a_huge_R():

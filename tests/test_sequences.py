@@ -322,6 +322,8 @@ def test_sum_squares_is_exact_past_int64():
     assert _sum_squares(values) == exact
     assert _sum_squares(values[4:7]) == 50
     assert _sum_squares(np.zeros(3, dtype=np.int64)) == 0
+    # each square is 2^62: summed in one chunk, the pair would overflow int64
+    assert _sum_squares(np.array([2**31, 2**31], dtype=np.int64)) == 2**63
 
 
 def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
