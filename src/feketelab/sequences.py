@@ -13,19 +13,24 @@ products, not the t^2 of a correlation over all 2t - 1 lags.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 
-Memory: from 2**14 coefficients up, the spectral kernel splits the
-sequence in halves too, and transforms each at about t points instead
-of one transform at about 2t.  At most three arrays of about 8t bytes
-are live at once (half spectra, an irfft output, the int64 result),
-plus pocketfft's own scratch in each transform, about 16 bytes per
-point, and every irfft output is rounded straight into the result; an
-exact norm at t ~ 1e7 peaks near 45 bytes of RSS per coefficient.
+Memory: from 2**14 coefficients up, the spectral kernel cuts the
+sequence into four pieces and transforms each at about t/2 points
+instead of one transform at about 2t, two transforms at a time: on the
+calling thread and on a single worker thread.  At most 24 bytes
+per coefficient are live at once under tracemalloc (four spectra of
+about 4t bytes, overwritten in place by the gap spectra, two irfft
+outputs and the int64 result), plus pocketfft's own scratch, about 16
+bytes per point of each of the two running transforms, and every irfft
+output is rounded straight into the result; an exact norm at t ~ 1e7
+peaks near 49 bytes of RSS per coefficient.
 FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
 anything is allocated for it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -37,7 +42,7 @@ from .primality import as_int, require_odd_prime
 
 # Longest sequence a FeketeSpec accepts: 2**25 = 33,554,432 coefficients.
 # One exact norm at this length (norm --p 33554467 --r 7000000) peaked at
-# 1374 MiB of RSS, 43 bytes per coefficient, in 8.8-9.3 s on a 2-vCPU VM.
+# 1375 MiB of RSS, 43 bytes per coefficient, in 5.4-6.6 s on a 2-vCPU VM.
 MAX_LENGTH = 2**25
 
 
@@ -190,9 +195,13 @@ def _smooth_length(m: int) -> int:
     return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, m)]
 
 
-# Shortest sequence the spectral kernel splits in halves.  Below it the
-# split's extra numpy calls cost more than its shorter transforms save.
+# Shortest sequence the spectral kernel cuts into four pieces.  Below it
+# the pieces' extra numpy calls cost more than their shorter transforms save.
 _SPLIT_MIN = 2**14
+
+# Spectrum entries per block when the gap spectra are formed: the blocks
+# read and the products written stay within a core's L2 cache.
+_GAP_BLOCK = 2**12
 
 
 def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
@@ -211,8 +220,8 @@ def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
         )
 
 
-def _to_power(spectrum: np.ndarray) -> np.ndarray:
-    """Overwrite a complex spectrum by |z|^2 + 0j; return its real parts.
+def _to_power(spectrum: np.ndarray) -> None:
+    """Overwrite a complex spectrum by |z|^2 + 0j.
 
     irfft then gets a complex array, so it makes no complex copy of a
     real input.
@@ -222,7 +231,104 @@ def _to_power(spectrum: np.ndarray) -> np.ndarray:
     np.square(parts, out=parts)
     np.add(re, im, out=re)
     im.fill(0.0)
-    return re
+
+
+# The spectral kernel's one worker thread, in an executor made on the
+# first long sequence: importing concurrent.futures costs about 6 ms,
+# which every import of the package would otherwise pay.
+_fft_worker = None
+_fft_worker_lock = threading.Lock()
+
+
+def _forget_fft_worker() -> None:
+    """In a child made by fork, which inherits the executor and the lock
+    but no thread, start afresh."""
+    global _fft_worker, _fft_worker_lock
+    _fft_worker = None
+    _fft_worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_fft_worker)
+
+
+def _submit_fft(transform, *args):
+    """Queue transform(*args) on the worker, made on first use."""
+    global _fft_worker
+    with _fft_worker_lock:
+        if _fft_worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _fft_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="feketelab-fft")
+        return _fft_worker.submit(transform, *args)
+
+
+def _transforms(transform, inputs: list, n: int) -> list:
+    """[transform(x, n) for x in inputs], on this thread and the worker at
+    once: numpy's transforms release the GIL.
+
+    The worker takes inputs[1:] in order and this thread inputs[0], then,
+    from the end of the list, each one the worker has not started yet.
+    So this thread never waits on a worker that is slow to start (its CPU
+    is busy, or there is only one); it waits only for transforms the
+    worker is running.
+    """
+    futures = [_submit_fft(transform, x, n) for x in inputs[1:]]
+    try:
+        done = {0: transform(inputs[0], n)}
+        for i in range(len(futures), 0, -1):
+            if futures[i - 1].cancel():
+                done[i] = transform(inputs[i], n)
+        return [done[i] if i in done else futures[i - 1].result() for i in range(len(inputs))]
+    finally:
+        # no transform outlives the call that asked for it
+        for future in futures:
+            if not future.cancel():
+                future.exception()
+
+
+def _to_gap_spectra(spectra: list) -> None:
+    """Overwrite the piece spectra F_0..F_3 by the gap spectra S_0..S_3.
+
+    S_d = sum_i conj(F_i) F_{i+d}, and S_0 = sum_i |F_i|^2 + 0j, formed in
+    blocks of _GAP_BLOCK entries, so no temporary is longer than a block.
+    """
+    for lo in range(0, spectra[0].size, _GAP_BLOCK):
+        f = [spectrum[lo : lo + _GAP_BLOCK] for spectrum in spectra]
+        c0, c1, c2 = (np.conjugate(x) for x in f[:3])
+        s1 = c0 * f[1]
+        s1 += c1 * f[2]
+        s1 += c2 * f[3]
+        s2 = c0 * f[2]
+        s2 += c1 * f[3]
+        s3 = c0 * f[3]
+        parts = [x.view(np.float64) for x in f]
+        power = np.square(parts[0])
+        for x in parts[1:]:
+            power += np.square(x)
+        np.add(power[0::2], power[1::2], out=parts[0][0::2])
+        parts[0][1::2] = 0.0
+        f[1][...], f[2][...], f[3][...] = s1, s2, s3
+
+
+def _round_gap(inverse: np.ndarray, d: int, q: int, out: np.ndarray) -> None:
+    """Round the inverse of S_d into lags (d-1) q + 1 .. (d+1) q - 1 of out.
+
+    Its first q entries are the lags from d q up and its last q - 1 the
+    lags below d q.  For d < 3, out must already hold the rounded lags of
+    S_{d+1} below (d+1) q, which are added in before the guard.
+    """
+    t = out.size
+    lo = d * q
+    head = inverse[: min(q, t - lo)]
+    if d < 3:
+        # integers of magnitude <= t: adding them moves no value across a
+        # half-integer, so rint of the sum is c there and its residual is
+        # this inverse's own
+        np.add(head[1:], out[lo + 1 : lo + q], out=head[1:])
+    _round_into(head, out[lo : lo + head.size], t)
+    if d > 0:
+        _round_into(inverse[inverse.size - q + 1 :], out[lo - q + 1 : lo], t)
 
 
 def autocorrelation_fast(seq) -> np.ndarray:
@@ -232,23 +338,36 @@ def autocorrelation_fast(seq) -> np.ndarray:
     integer (residual >= 1e-3 or NaN).  Below 2**14 coefficients: one
     spectral convolution of the sequence with its reversal, zero-padded
     to the smallest n = 2^a 3^b 5^c >= 2t-1.  From 2**14 up the sequence
-    is cut at h = t // 2 into A and B, as in autocorrelation_naive, and
-    both halves are transformed at the smallest 5-smooth m >= t, about
-    n / 2.  The inverse of |A|^2 + |B|^2 holds c_A + c_B at lags
-    0 .. t-h-1, and the inverse of conj(A) B holds at index k mod m the
-    sum of A_j B_{j+k}, the pairs of lag h + k, for k = -(h-1) .. t-h-1;
-    neither wraps, since m >= t.
+    is cut into four pieces P_0..P_3 of q = ceil(t/4) coefficients (the
+    last one shorter), each transformed at the smallest 5-smooth
+    m >= 2q - 1, about n / 4.  A pair (j, j+u) has j in P_i and j+u in
+    P_{i+d} for one gap d >= 0, so c_u sums, over d and i, the cross
+    correlations of P_i against P_{i+d} at offset k = u - d q, |k| < q.
+    The inverse of the gap spectrum S_d = sum_i conj(F_i) F_{i+d}
+    (S_0 = sum |F_i|^2) holds their sum over i at index k mod m, no wrap
+    since m >= 2q - 1: its indices 0 .. q-1 give the lags d q .. d q + q-1
+    and its last q - 1 indices the lags (d-1) q + 1 .. d q - 1.
+
+    The eight transforms run two at a time, one on the calling thread
+    and one on a single worker thread kept for the life of the process
+    (numpy's transforms release the GIL; a child made by fork gets a new
+    worker): the four forward transforms as one batch, then the inverses
+    of S_3 and S_2, then those of S_1 and S_0.  The worker runs nothing
+    but np.fft calls, and the caller runs, from the end of a batch, each
+    transform the worker has not started once its own is done.
 
     Memory, short path: the spectrum (8n bytes), the irfft output (8n)
     and the int64 result (8t), the spectrum dropped before the result is
-    allocated.  Split path: arrays of about 8m bytes each, the two half
-    spectra, the cross spectrum, one irfft output at a time and the int64
-    result, allocated after the cross inverse; at most three are live,
-    about 24t bytes against the short path's 16n, about 32t.  Each
-    transform adds pocketfft's own scratch, about 16 bytes per point of
-    its length, which the split halves too.  Every irfft output is
-    rounded straight into the result by one guard, with numpy's ufunc
-    buffers the only other temporaries.
+    allocated, about 32 bytes per coefficient.  Four-piece path: the four
+    piece spectra, of about 8m = 4t bytes each, are overwritten in place
+    by the gap spectra; S_3 and S_2 are inverted and their spectra
+    dropped before the int64 result (8t) is allocated, and their inverses
+    are rounded into it before S_1 and S_0 are inverted.  So at most
+    about 24t bytes are live (24.3 bytes per coefficient under tracemalloc
+    at t = 2**18), plus pocketfft's own scratch, about 16 bytes per point
+    of each of the two running transforms.  Every irfft output is rounded
+    straight into the result by one guard, with numpy's ufunc buffers and
+    blocks of _GAP_BLOCK entries the only other temporaries.
     """
     f = _coefficients(seq)
     t = f.size
@@ -261,29 +380,88 @@ def autocorrelation_fast(seq) -> np.ndarray:
         out = np.empty(t, dtype=np.int64)
         _round_into(corr, out, t)
         return out
-    h = t // 2
-    m = _smooth_length(t)
-    fa = np.fft.rfft(f[:h], m)
-    fb = np.fft.rfft(f[h:], m)
-    cross = np.conjugate(fa)
-    np.multiply(cross, fb, out=cross)
-    power = _to_power(fb)
-    power += _to_power(fa)
-    del fa, power
-    pairs = np.fft.irfft(cross, m)
-    del cross
+    q = -(-t // 4)
+    m = _smooth_length(2 * q - 1)
+    spectra = _transforms(np.fft.rfft, [f[i * q : (i + 1) * q] for i in range(4)], m)
+    _to_gap_spectra(spectra)
+    below, above = _transforms(np.fft.irfft, spectra[2:], m)
+    del spectra[2:]
     out = np.empty(t, dtype=np.int64)
-    _round_into(pairs[m - h :], out[:h], t)
-    _round_into(pairs[: t - h], out[h:], t)
-    del pairs
-    halves = np.fft.irfft(fb, m)[: t - h]
-    del fb
-    # out[:t-h] holds the rounded cross terms, integers of magnitude <= t:
-    # adding them moves no value across a half-integer, so rint of the
-    # sum is c there and its residual is that of c_A + c_B
-    np.add(halves, out[: t - h], out=halves)
-    _round_into(halves, out[: t - h], t)
+    _round_gap(above, 3, q, out)
+    _round_gap(below, 2, q, out)
+    del below, above
+    below, above = _transforms(np.fft.irfft, spectra, m)
+    del spectra
+    _round_gap(above, 1, q, out)
+    _round_gap(below, 0, q, out)
     return out
+
+
+# Prime modulus of the autocorrelation certificate: a product of two
+# residues stays below 2**62, inside int64.
+_CERT_MODULUS = 2**31 - 1
+
+# Powers z^0 .. z^(_CERT_BLOCK - 1) are tabulated once per point; a row of
+# _CERT_BLOCK terms, each below 2**31, sums below 2**43.
+_CERT_BLOCK = 2**12
+
+
+def _residue_rows(values: np.ndarray) -> np.ndarray:
+    """values mod _CERT_MODULUS as int64 rows of _CERT_BLOCK, zero-padded."""
+    rows = np.zeros(-(-values.size // _CERT_BLOCK) * _CERT_BLOCK, dtype=np.int64)
+    rows[: values.size] = values
+    rows %= _CERT_MODULUS
+    return rows.reshape(-1, _CERT_BLOCK)
+
+
+def _eval_mod(rows: np.ndarray, z: int) -> int:
+    """sum_j v_j z^j mod _CERT_MODULUS for the residue rows of a vector v."""
+    Q = _CERT_MODULUS
+    powers = np.ones(_CERT_BLOCK, dtype=np.int64)
+    n = 1
+    while n < _CERT_BLOCK:
+        powers[n : 2 * n] = powers[:n] * pow(z, n, Q) % Q
+        n *= 2
+    terms = rows * powers
+    terms %= Q
+    row_sums = terms.sum(axis=1) % Q
+    lead = pow(z, _CERT_BLOCK, Q)
+    value = 0
+    for row_sum in reversed(row_sums.tolist()):
+        value = (value * lead + row_sum) % Q
+    return value
+
+
+def _certify_autocorrelation(f, c, points) -> bool:
+    """Whether c passes as the aperiodic autocorrelation of f at each z.
+
+    For every z in points (integers 1 <= z < Q, Q = 2**31 - 1) it checks
+    C(z) = c_0 + sum_{u>=1} c_u (z^u + z^-u) = f(z) f(z^-1) mod Q, which
+    holds for the true c in Z[z, 1/z]; c must have f's length and every
+    |c_u| <= t, else it fails.  A wrong c within that bound passes at a
+    uniformly random z with probability at most (2t - 2) / (Q - 1):
+    z^(t-1) (C' - C) is a nonzero polynomial of degree <= 2t - 2 mod Q,
+    since 0 < |c'_u - c_u| <= 2t < Q.  O(t) per point, with int64
+    temporaries of about 24 bytes per coefficient.  No library path calls
+    it; it is an independent check of either kernel.
+    """
+    f = _coefficients(f)
+    c = np.asarray(c)
+    t = f.size
+    if c.shape != (t,) or c.dtype.kind not in "iu" or np.abs(c).max() > t:
+        return False
+    f_rows, c_rows = _residue_rows(f), _residue_rows(c)
+    Q = _CERT_MODULUS
+    for z in points:
+        z = as_int(z, "certificate point")
+        if not 1 <= z < Q:
+            raise ValueError(f"certificate point must lie in [1, {Q}), got {z}")
+        inverse = pow(z, Q - 2, Q)
+        claimed = _eval_mod(c_rows, z) + _eval_mod(c_rows, inverse) - int(c[0])
+        product = _eval_mod(f_rows, z) * _eval_mod(f_rows, inverse)
+        if (claimed - product) % Q:
+            return False
+    return True
 
 
 def l2_norm_pow2(seq) -> int:

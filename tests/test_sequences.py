@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,7 @@ from feketelab.sequences import (
     littlewoodize,
     merit_factor,
     periodic_lower_bound,
+    _certify_autocorrelation,
     _char_sum_l4_prefixes,
     _smooth_length,
     _sum_squares,
@@ -156,8 +160,8 @@ def test_autocorrelation_fast_equals_naive():
 
 
 def test_split_kernel_equals_naive_around_the_split_bound():
-    # 2**14 - 1 takes the single transform; the others split, 2**14 + 1
-    # and 2**14 + 3 into halves of unequal length
+    # 2**14 - 1 takes the single transform; the others are cut into four
+    # pieces, 2**14 + 1 and 2**14 + 3 with a shorter last piece
     rng = np.random.RandomState(41)
     assert sequences._SPLIT_MIN == 2**14
     for t in (2**14 - 1, 2**14, 2**14 + 1, 2**14 + 3):
@@ -180,28 +184,201 @@ def test_split_kernel_raw_fekete_sequence():
     assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
 
 
+def gap_spectra(seq):
+    """S_0 .. S_3 of the four-piece kernel, formed here from np.fft.rfft."""
+    t = seq.size
+    q = -(-t // 4)
+    m = _smooth_length(2 * q - 1)
+    pieces = [np.fft.rfft(seq[i * q : (i + 1) * q], m) for i in range(4)]
+    return [
+        sum(np.conjugate(pieces[i]) * pieces[i + d] for i in range(4 - d))
+        for d in range(4)
+    ]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("call,index", [(0, 0), (0, -1), (1, 0)])
-def test_split_kernel_guards_each_inverse(monkeypatch, call, index):
-    # Call 0 inverts the cross spectrum: index 0 is lag h, index -1 lag
-    # h - 1 (wrapped).  Call 1 inverts the power spectrum: index 0 is lag 0.
+@pytest.mark.parametrize("gap,index", [(1, 0), (1, -1), (2, 0), (2, -1), (3, 0), (3, -1), (0, 0)])
+def test_split_kernel_guards_each_inverse(monkeypatch, gap, index):
+    # The inverse of S_d holds lag d q at index 0 and lag d q - 1 at index
+    # -1; S_0's index 0 is lag 0.  The two inverses of a pair run at the
+    # same time, so each is told by its input, not by the order of calls.
     t = 2**14 + 1
     seq = np.random.RandomState(43).choice([-1, 1], size=t)
+    spectra = gap_spectra(seq)
     real_irfft = np.fft.irfft
-    calls = []
+    seen = []
 
-    def irfft_with_a_nan(*args, **kwargs):
-        out = real_irfft(*args, **kwargs)
-        if len(calls) == call:
+    def irfft_with_a_nan(spectrum, n):
+        d = min(range(4), key=lambda d: np.abs(spectrum - spectra[d]).max())
+        assert np.allclose(spectrum, spectra[d], rtol=0, atol=1e-6 * t)
+        out = real_irfft(spectrum, n)
+        if d == gap:
             out[index] = np.nan
-        calls.append(out.size)
+        seen.append((d, out.size))
         return out
 
     monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
     with pytest.raises(KernelPrecisionError, match=f"residual nan at length {t}"):
         autocorrelation_fast(seq)
-    assert len(calls) == call + 1
-    assert calls[0] == _smooth_length(t)
+    m = _smooth_length(2 * (-(-t // 4)) - 1)
+    assert (gap, m) in seen
+
+
+def test_split_kernel_from_several_threads():
+    # Three callers share the one worker thread on a two-core host; a
+    # short switch interval interleaves them as often as it can.
+    rng = np.random.RandomState(47)
+    seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in (2**14 + 3, 3 * 2**13 + 1)]
+    expected = [autocorrelation_naive(seq) for seq in seqs]
+    mismatches = []
+    done = []
+
+    def caller(k):
+        for i in range(12):
+            j = (i + k) % 2
+            if not (autocorrelation_fast(seqs[j]) == expected[j]).all():
+                mismatches.append((k, i))
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2]
+    assert mismatches == []
+
+
+def test_split_kernel_passes_an_error_on_the_worker_to_the_caller(monkeypatch):
+    # The caller's transform waits until the worker has started its own,
+    # so the worker, not the caller, runs the failing transform.
+    seq = np.random.RandomState(53).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    caller = threading.get_ident()
+    real_rfft = np.fft.rfft
+    worker_started = threading.Event()
+
+    def rfft_failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != caller:
+            worker_started.set()
+            raise RuntimeError("transform failed on the worker")
+        assert worker_started.wait(30)
+        return real_rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft_failing_off_the_caller)
+    with pytest.raises(RuntimeError, match="transform failed on the worker"):
+        autocorrelation_fast(seq)
+    monkeypatch.undo()
+    assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+
+
+def test_split_kernel_does_not_wait_for_a_busy_worker():
+    # While the worker is held by another task, every transform runs on
+    # the caller; had the caller waited for the worker, the kernel would
+    # return only after the task gave up, and the task would be done.
+    seq = np.random.RandomState(57).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    expected = autocorrelation_naive(seq)
+    release = threading.Event()
+    held = sequences._submit_fft(release.wait, 10)
+    try:
+        c = autocorrelation_fast(seq)
+        assert not held.done()
+    finally:
+        release.set()
+    assert held.result(timeout=30)
+    assert (c == expected).all()
+
+
+def send_autocorrelation(seq, conn):
+    c = autocorrelation_fast(seq)
+    workers = [t.name for t in threading.enumerate() if t.name.startswith("feketelab-fft")]
+    conn.send((c, workers))
+    conn.close()
+
+
+# Python 3.12 warns that fork copies a process with threads in it
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_split_kernel_in_a_forked_child():
+    # The parent's worker thread is running when the child is forked; the
+    # child inherits no such thread and must start one of its own.
+    seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    expected = autocorrelation_fast(seq)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=send_autocorrelation, args=(seq, send))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(30), "the forked child sent no result"
+        got, workers = receive.recv()
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert (got == expected).all()
+    assert len(workers) == 1
+
+
+CERTIFICATE_POINTS = np.random.RandomState(61).randint(2, 2**31 - 1, size=5)
+
+
+def test_certificate_accepts_both_kernels():
+    rng = np.random.RandomState(67)
+    for t in (1, 2, 17, 2**14 - 1, 2**14 + 1, 2**14 + 3):
+        for values in ([-1, 1], [-1, 0, 1]):
+            seq = rng.choice(np.array(values, dtype=np.int8), size=t)
+            for kernel in (autocorrelation_fast, autocorrelation_naive):
+                assert _certify_autocorrelation(seq, kernel(seq), CERTIFICATE_POINTS[:3])
+    ones = np.ones(2**16, dtype=np.int8)
+    assert _certify_autocorrelation(ones, autocorrelation_fast(ones), CERTIFICATE_POINTS[:3])
+
+
+def test_certificate_rejects_one_lag_off_by_one():
+    t = 2**14 + 3
+    seq = np.random.RandomState(71).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    c = autocorrelation_fast(seq)
+    for u in (0, 1, t - 1, t // 2):
+        for step in (1, -1):
+            wrong = c.copy()
+            wrong[u] += step
+            assert not _certify_autocorrelation(seq, wrong, CERTIFICATE_POINTS[:3])
+
+
+def test_certificate_rejects_a_value_beyond_t():
+    t = 17
+    seq = np.random.RandomState(73).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    c = autocorrelation_naive(seq)
+    # with no point, only the bound |c_u| <= t is checked
+    assert _certify_autocorrelation(seq, c, ())
+    for value in (t + 1, -(t + 1)):
+        wrong = c.copy()
+        wrong[5] = value
+        assert not _certify_autocorrelation(seq, wrong, ())
+    # c_u + Q agrees with c mod Q at every point: only the bound rejects it
+    shifted = c.copy()
+    shifted[5] += 2**31 - 1
+    assert not _certify_autocorrelation(seq, shifted, CERTIFICATE_POINTS)
+    assert not _certify_autocorrelation(seq, c[:-1], CERTIFICATE_POINTS)
+    for point in (0, 2**31 - 1, 1.5):
+        with pytest.raises(ValueError):
+            _certify_autocorrelation(seq, c, [point])
+
+
+def test_certificate_of_a_long_littlewood_norm():
+    seq = littlewoodize(fekete_coeffs(FeketeSpec(1000003, 381888, 1225511)))
+    c = autocorrelation_fast(seq)
+    assert _certify_autocorrelation(seq, c, CERTIFICATE_POINTS)
+    assert 2 * _sum_squares(c) - int(c[0]) ** 2 == 2330464228007
 
 
 def autocorrelation_by_loop(seq):
@@ -386,9 +563,9 @@ def test_autocorrelation_fast_rejects_a_nan_residual(monkeypatch):
 
 
 def test_autocorrelation_fast_peak_memory():
-    # The split path at m = t: two half spectra, one irfft output and the
-    # int64 result, of 8t bytes each, with at most three live, peak near
-    # 24 bytes per coefficient (one transform at n = 2t held 32).
+    # The four-piece path at m ~ t/2: four spectra, overwritten by the gap
+    # spectra, two irfft outputs and the int64 result, at most 24t bytes
+    # live (one transform at n = 2t held 32).
     # tracemalloc sees numpy's allocations only, not pocketfft's scratch
     # inside each transform.
     t = 2**18
