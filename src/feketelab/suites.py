@@ -53,8 +53,10 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-# Seconds any check may take; the slowest, kernel-equality, took 0.30-0.44 s
-# (median 0.37 s) over 5 in-process runs on a 2-vCPU VM.
+# Seconds any check may take.  The slowest, kernel-equality, took 0.14-0.23 s
+# in 29 of 30 in-process runs (6 processes) on a 2-vCPU VM, periodic-bound
+# and exponential-sum-bound next at 0.09-0.17 s.  The 30th, the first run of
+# its process, took 1.11 s: OpenBLAS on its default two threads stalled.
 CHECK_BUDGET_S = 2.0
 
 

@@ -47,6 +47,19 @@ def test_norm_kernels_agree(capsys):
     assert fast_out == naive_out
 
 
+@pytest.mark.parametrize("mode,l2", [("--raw", 4999), ("--littlewood", 5000)])
+def test_norm_kernels_agree_on_the_tiled_path(capsys, mode, l2):
+    # 5000 coefficients, above the direct kernel's leaf of one np.correlate;
+    # the raw sequence keeps its one zero, at j = 10007 - 9000
+    assert 5000 > sequences._DIRECT_LEAF
+    argv = ["norm", "--p", "10007", "--r", "9000", "--t", "5000", mode]
+    fast_code, fast_out, _ = run(capsys, *argv, "--fast")
+    naive_code, naive_out, _ = run(capsys, *argv, "--naive")
+    assert fast_code == naive_code == 0
+    assert f"l2_pow2: {l2}" in fast_out.splitlines()
+    assert fast_out == naive_out
+
+
 def test_norm_rejects_composite_modulus(capsys):
     code, _, err = run(capsys, "norm", "--p", "4", "--r", "0", "--t", "3")
     assert code == 2

@@ -392,18 +392,27 @@ def autocorrelation_by_loop(seq):
 
 
 def test_autocorrelation_naive_equals_the_loop_oracle():
-    # 2047 .. 2049 straddle the leaf bound, 3001 splits unevenly, and
-    # 2**14 + 1 splits unevenly at each of its four levels of halves
+    # Lengths on each side of every seam of the direct kernel: the leaf,
+    # multiples of the lag block b, multiples of the r tile, and a second,
+    # partial tile of D blocks, which starts once a lag block lies beyond
+    # D_TILE * b; 1458, 1563 and 3001 end in short tiles of each kind.
+    leaf, b = sequences._DIRECT_LEAF, sequences._LAG_BLOCK
+    r, d = sequences._R_TILE, sequences._D_TILE
+    seams = [leaf, 9 * b, 13 * b, 2 * r, 3 * r, d * b, d * b + 3 * r]
+    assert leaf < min(seams[1:]) and 2 * r > leaf
+    lengths = list(range(1, 65)) + [1024, 1458, 1563, 3001]
+    lengths += [seam + e for seam in seams for e in (-1, 0, 1)]
     rng = np.random.RandomState(13)
-    lengths = list(range(1, 65)) + [1024, 1458, 1563, 2047, 2048, 2049, 3001, 2**14, 2**14 + 1]
     for t in lengths:
         seq = rng.choice([-1, 0, 1], size=t)
         c = autocorrelation_naive(seq)
         assert c.dtype == np.int64
         assert (c == autocorrelation_by_loop(seq)).all()
-    # c_u = t - u: every running sum of every lag reaches its largest value
-    ones = np.ones(2**14, dtype=np.int8)
-    assert (autocorrelation_naive(ones) == np.arange(2**14, 0, -1)).all()
+    # c_u = t - u: every running sum of every lag reaches its largest
+    # value, over 34 r tiles and both tiles of D blocks
+    t = d * b + r + 3
+    ones = np.ones(t, dtype=np.int8)
+    assert (autocorrelation_naive(ones) == np.arange(t, 0, -1)).all()
 
 
 def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
@@ -424,27 +433,64 @@ def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
 
 def test_autocorrelation_naive_float64_branch(monkeypatch):
     # Lower the float32 bound so short vectors take the float64 branch,
-    # and record the dtypes each np.correlate call sums in.
+    # and record the dtypes each np.correlate and np.matmul call sums in.
     monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", 8)
-    seen = []
-    correlate = np.correlate
+    seen = {"correlate": [], "matmul": []}
+    correlate, matmul = np.correlate, np.matmul
 
-    def spy(a, v, mode):
-        seen.append((a.dtype, v.dtype))
+    def correlate_spy(a, v, mode):
+        seen["correlate"].append((a.dtype, v.dtype))
         return correlate(a, v, mode)
 
-    monkeypatch.setattr(np, "correlate", spy)
+    def matmul_spy(a, b, **kwargs):
+        seen["matmul"].append((a.dtype, b.dtype))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", correlate_spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    # The call counts below hold for these tile constants.
+    assert (sequences._DIRECT_LEAF, sequences._LAG_BLOCK) == (896, 128)
+    assert (sequences._R_TILE, sequences._D_TILE) == (512, 128)
+    # length: (np.correlate calls, np.matmul calls).  Up to the leaf, one
+    # np.correlate; above it, one product per r tile of 512 while all the
+    # lag blocks below that tile's end fit in one D tile of 128 blocks.
+    # 2**14 + 1 has 33 r tiles, and its last spans 129 lag blocks, two D
+    # tiles.
+    calls = {
+        1: (1, 0), 8: (1, 0), 9: (1, 0), 64: (1, 0), 896: (1, 0),
+        897: (0, 2), 1563: (0, 4), 5000: (0, 10), 2**14 + 1: (0, 34),
+    }
     rng = np.random.RandomState(19)
-    for t in (1, 8, 9, 64, 1024, 1563, 5000):
-        seen.clear()
+    for t, (correlates, products) in calls.items():
+        for kind in seen.values():
+            kind.clear()
         seq = rng.choice([-1, 0, 1], size=t)
         c = autocorrelation_naive(seq)
         assert c.dtype == np.int64
         assert (c == autocorrelation_by_loop(seq)).all()
-        # 5000 splits into halves of 2500, each split once more
-        assert len(seen) == (7 if t == 5000 else 1)
+        assert (len(seen["correlate"]), len(seen["matmul"])) == (correlates, products)
         branch = np.dtype(np.float32 if t <= 8 else np.float64)
-        assert set(seen) == {(branch, branch)}
+        assert set(seen["correlate"] + seen["matmul"]) == {(branch, branch)}
+
+
+def test_autocorrelation_naive_peak_memory(monkeypatch):
+    # On the tiled path: the padded sequence and the lag sums, one float
+    # each per coefficient, with the tile buffers (576 KiB in float32,
+    # 1.1 MiB in float64), then the lag sums and the int64 result.
+    t = 2**16
+    seq = np.random.RandomState(43).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    expected = autocorrelation_fast(seq)
+    for float32_max, bound in ((2**24, 12 * t + 2**20), (8, 16 * t + 2**21)):
+        monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", float32_max)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            c = autocorrelation_naive(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c == expected).all()
+        assert peak <= bound
 
 
 @settings(max_examples=150, deadline=None, database=None)
