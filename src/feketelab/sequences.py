@@ -451,10 +451,10 @@ _CERT_BLOCK = 2**12
 
 
 def _residue_rows(values: np.ndarray) -> np.ndarray:
-    """values mod _CERT_MODULUS as int64 rows of _CERT_BLOCK, zero-padded."""
+    """values as signed int64 rows of _CERT_BLOCK, zero-padded; as |v| <= t
+    < Q / 2, each product that _eval_mod reduces (numpy %) is below 2**61."""
     rows = np.zeros(-(-values.size // _CERT_BLOCK) * _CERT_BLOCK, dtype=np.int64)
     rows[: values.size] = values
-    rows %= _CERT_MODULUS
     return rows.reshape(-1, _CERT_BLOCK)
 
 

@@ -137,6 +137,19 @@ def test_region_classify_examples():
     assert region_classify(0.25, 1.0) is Region.D3  # boundary tie, lowest index
     assert region_classify(0.0, 0.5) is Region.D1
     assert region_classify(-1e-20, 1.0) is region_classify(0.0, 1.0) is Region.D1
+    # unreduced, R = 0.8 and R = -0.2 would land in other cells
+    assert region_classify(0.8, 0.6) is region_classify(-0.2, 0.6) is Region.D2
+    assert region_classify(0.8, 1.3) is region_classify(-0.2, 1.3) is Region.D5
+    interior = {
+        Region.D1: (0.1, 0.6),
+        Region.D2: (0.3, 0.6),
+        Region.D3: (0.45, 0.9),
+        Region.D4: (0.2, 1.2),
+        Region.D5: (0.35, 1.2),
+        Region.D6: (0.45, 1.2),
+    }
+    for cell, (R, T) in interior.items():
+        assert region_classify(R, T) is cell
     assert region_classify(0.3, 0.4) is Region.OUTSIDE
     assert region_classify(0.3, 1.6) is Region.OUTSIDE
     assert region_classify(0.3, 1e300) is Region.OUTSIDE
@@ -189,6 +202,12 @@ def test_solve_cubic_root_examples():
     assert solve_cubic_root(1, 0, 0, -1, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
     # The bracket's ends sum past the largest float; the root stays inside.
     assert solve_cubic_root(1, -1.5e308, 0, 0, 1e307, 1.7e308) == pytest.approx(1.5e308, rel=1e-15)
+    # No float is a root of x^2 - 2: bisection ends on adjacent floats.
+    x = solve_cubic_root(0, 1, 0, -2, 1.0, 2.0)
+    assert abs(x - math.sqrt(2)) <= math.ulp(math.sqrt(2)) and x * x - 2 != 0
+    # A root exactly at either end of the bracket is returned as is.
+    assert solve_cubic_root(1, 0, 0, -8, 1.0, 2.0) == 2.0
+    assert solve_cubic_root(-1, 0, 0, 1, 1.0, 2.0) == 1.0
 
 
 def test_solve_cubic_root_residual_contract():

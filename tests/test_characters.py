@@ -277,6 +277,14 @@ def test_is_square_polynomial_examples(a, b, c, p, expected):
     assert is_square_polynomial(a, b, c, p) is expected
 
 
+@pytest.mark.parametrize("p", [0, 9])
+def test_square_test_and_quartic_sum_reject_a_modulus_that_is_no_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        is_square_polynomial(1, 2, 3, p)
+    with pytest.raises(ValueError, match="odd prime"):
+        quartic_char_sum(1, 2, 3, p)
+
+
 def test_is_square_polynomial_matches_expansion_oracle():
     for p in (3, 5, 7, 11):
         a, b, c = np.ogrid[:p, :p, :p]

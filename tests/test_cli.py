@@ -24,10 +24,15 @@ def run(capsys, *argv):
 
 
 def test_norm_littlewood_example(capsys):
-    code, out, _ = run(capsys, "norm", "--p", "3", "--r", "0", "--t", "3", "--littlewood")
-    assert code == 0
-    assert "l4_pow4: 11" in out
-    assert "merit_factor: 4.5" in out
+    code, out, err = run(capsys, "norm", "--p", "3", "--r", "0", "--t", "3", "--littlewood")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "t: 3",
+        "l2_pow2: 3",
+        "l4_pow4: 11",
+        f"l4_over_l2: {11**0.25 / 3**0.5!r}",
+        "merit_factor: 4.5",
+    ]
     # the split spectral kernel at t = 1,225,511, near the record point
     code, out, _ = run(capsys, "norm", "--p", "1000003", "--r", "381888", "--t", "1225511")
     assert code == 0
@@ -406,6 +411,18 @@ def test_verify_suite_regions(capsys):
         "PASS region-pieces",
         "PASS hj-specialization",
     ]
+
+
+def test_verify_exits_1_and_counts_the_failed_checks(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "gauss_sum_residual", lambda p, j: float(p))
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(suites.SUITES["all"]) == 13
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL gauss-identity: max residual/p=1.00e+00"
+    ]
+    assert err == "1 of 13 checks failed\n"
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
@@ -159,6 +161,11 @@ def test_prime_ladder_shape():
     assert all(b > a for a, b in zip(rungs, rungs[1:]))
 
 
+def test_prime_ladder_needs_at_least_one_rung():
+    with pytest.raises(ValueError, match="count >= 1"):
+        prime_ladder(100, 200, 0)
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.integers(3, 10**5), st.integers(0, 10**5), st.integers(1, 30))
 def test_prime_ladder_is_strictly_increasing_primes(p_lo, width, count):
@@ -281,6 +288,8 @@ def test_export_json_round_trip(tmp_path):
 def test_export_rejects_empty_and_bad_format(tmp_path):
     with pytest.raises(ValueError):
         export_records([], "csv", tmp_path / "x.csv")
+    with pytest.raises(ValueError, match="no records"):
+        export_records(iter([]), "csv", tmp_path / "x.csv")
     with pytest.raises(ValueError):
         export_records(_sample_records(), "xml", tmp_path / "x.xml")
 
@@ -288,7 +297,7 @@ def test_export_rejects_empty_and_bad_format(tmp_path):
 def test_export_surfaces_io_failure_with_destination():
     records = _sample_records()
     bad = "/nonexistent-dir/out.csv"
-    with pytest.raises(OSError, match="nonexistent-dir"):
+    with pytest.raises(OSError, match="^cannot write records to /nonexistent-dir/out.csv: "):
         export_records(records, "csv", bad)
 
 
@@ -338,6 +347,51 @@ def test_export_failing_midway_leaves_no_partial_file(tmp_path, monkeypatch, fmt
             export_records(records, fmt, destination)
     assert kept.read_text() == "previous contents\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.csv"]
+
+
+def test_export_reraises_a_non_os_error_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    import feketelab.experiments as experiments
+
+    records = _sample_records()
+
+    def interrupted(src, dst):
+        raise RuntimeError("interrupted before the rename")
+
+    monkeypatch.setattr(experiments.os, "replace", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted before the rename"):
+        export_records(records, "csv", tmp_path / "ladder.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_export_to_a_standard_stream_keeps_the_callers_earlier_output_first(tmp_path, stream):
+    # The stream is made block-buffered, so "before" waits in its buffer
+    # and reaches the file first only if export_records flushes the stream.
+    if not os.path.exists(f"/dev/{stream}"):
+        pytest.skip(f"needs /dev/{stream}")
+    import feketelab.experiments as experiments
+
+    fd = {"stdout": 1, "stderr": 2}[stream]
+    program = (
+        "import sys\n"
+        "from feketelab.experiments import export_records, run_convergence\n"
+        "records = run_convergence(0.25, 1.0, 100, 200, 2)\n"
+        f"sys.{stream} = open({fd}, 'w', closefd=False)\n"
+        f"sys.{stream}.write('before')\n"
+        f"export_records(records, 'csv', '/dev/{stream}')\n"
+        f"sys.{stream}.write('after')\n"
+        f"sys.{stream}.flush()\n"
+    )
+    source = os.path.dirname(os.path.dirname(experiments.__file__))
+    log = tmp_path / "log.txt"
+    with open(log, "wb") as handle:
+        subprocess.run(
+            [sys.executable, "-c", program], **{stream: handle}, check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=source),
+        )
+    expected = tmp_path / "expected.csv"
+    export_records(run_convergence(0.25, 1.0, 100, 200, 2), "csv", expected)
+    assert log.read_bytes() == b"before" + expected.read_bytes() + b"after"
 
 
 def test_export_replaces_existing_file(tmp_path):

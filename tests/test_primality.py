@@ -74,6 +74,10 @@ def test_require_odd_prime():
     for bad in (2, 4, 9, 1, -7, True, 2**63 + 9, 7.0, np.float64(7.0), np.bool_(1)):
         with pytest.raises(ValueError):
             require_odd_prime(bad)
+    # the smallest prime past the 64-bit range
+    assert next_prime_at_least(2**63) == 2**63 + 29
+    with pytest.raises(ValueError, match="64-bit word"):
+        require_odd_prime(2**63 + 29)
 
 
 @pytest.mark.parametrize("itype", [np.int64, np.int32])
@@ -102,6 +106,7 @@ def test_primality_rejects_non_integers_naming_the_argument(function, args, name
 def test_primality_accepts_numpy_integers():
     assert is_prime(np.int64(1000003)) is True
     assert next_prime_at_least(np.int32(100)) == 101
+    assert type(next_prime_at_least(np.int64(100))) is int
     assert primes_in(np.int64(3), np.int64(20)) == [3, 5, 7, 11, 13, 17, 19]
 
 

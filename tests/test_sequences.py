@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,29 @@ def test_split_kernel_passes_an_error_on_the_worker_to_the_caller(monkeypatch):
     assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
 
 
+def test_split_kernel_waits_for_a_running_worker_transform_before_it_raises(monkeypatch):
+    # The caller's transform fails once the worker has started a slow one;
+    # the call must not return before the worker's transform has finished.
+    seq = np.random.RandomState(43).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    caller = threading.get_ident()
+    real_rfft = np.fft.rfft
+    worker_started, worker_finished = threading.Event(), threading.Event()
+
+    def rfft_slow_on_the_worker(*args, **kwargs):
+        if threading.get_ident() != caller:
+            worker_started.set()
+            time.sleep(0.2)
+            worker_finished.set()
+            return real_rfft(*args, **kwargs)
+        assert worker_started.wait(30)
+        raise RuntimeError("transform failed on the caller")
+
+    monkeypatch.setattr(np.fft, "rfft", rfft_slow_on_the_worker)
+    with pytest.raises(RuntimeError, match="transform failed on the caller"):
+        autocorrelation_fast(seq)
+    assert worker_finished.is_set()
+
+
 def test_split_kernel_does_not_wait_for_a_busy_worker():
     # While the worker is held by another task, every transform runs on
     # the caller; had the caller waited for the worker, the kernel would
@@ -308,13 +332,16 @@ def send_autocorrelation(seq, conn):
 )
 def test_split_kernel_in_a_forked_child():
     # The parent's worker thread is running when the child is forked; the
-    # child inherits no such thread and must start one of its own.
+    # child inherits no such thread and must start one of its own.  The
+    # parent holds the worker's lock at the fork, so the child inherits
+    # that lock held, and must not wait on it.
     seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
     expected = autocorrelation_fast(seq)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=send_autocorrelation, args=(seq, send))
-    child.start()
+    with sequences._fft_worker_lock:
+        child.start()
     send.close()
     try:
         assert receive.poll(30), "the forked child sent no result"
@@ -341,6 +368,12 @@ def test_certificate_accepts_both_kernels():
                 assert _certify_autocorrelation(seq, kernel(seq), CERTIFICATE_POINTS[:3])
     ones = np.ones(2**16, dtype=np.int8)
     assert _certify_autocorrelation(ones, autocorrelation_fast(ones), CERTIFICATE_POINTS[:3])
+    # all ones at t = 2**21, c_u = t - u: a row of 2**12 products of lag
+    # sums near t with powers below 2**31 would overflow int64 unreduced
+    t = 2**21
+    ones = np.ones(t, dtype=np.int8)
+    assert _certify_autocorrelation(ones, np.arange(t, 0, -1), CERTIFICATE_POINTS[:3])
+    assert _certify_autocorrelation([1, -1, 1], [3, -2, 1], CERTIFICATE_POINTS[:3])
 
 
 def test_certificate_rejects_one_lag_off_by_one():
