@@ -76,6 +76,7 @@ def gauss_sum_residual(p: int, j: int) -> float:
     unit-magnitude terms carries O(p * ulp) rounding error, so callers
     should compare against a tolerance proportional to p.
     """
+    j = as_int(j, "j")
     table = legendre_table(p)
     k = np.arange(p)
     lhs = complex(np.sum(np.exp(2j * np.pi * (j % p) * k / p) * table))

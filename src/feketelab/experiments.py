@@ -24,7 +24,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .asymptotics import ratio_limit_u
-from .primality import next_prime_at_least
+from .primality import as_int, next_prime_at_least
 from .sequences import (
     FeketeSpec,
     fekete_coeffs,
@@ -109,6 +109,7 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     0 <= c <= n/2 of the last axis, and the planes strictly inside that
     range stand for themselves and their mirror images.
     """
+    n, t = as_int(n, "n"), as_int(t, "t")
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
     if not 1 <= t <= 32:
@@ -149,6 +150,7 @@ def _round_half_away(x: Fraction) -> int:
 def prime_ladder(p_lo: int, p_hi: int, count: int) -> list[int]:
     """count geometrically spaced targets in [p_lo, p_hi], each snapped
     to the nearest prime above (so the top rung may exceed p_hi)."""
+    p_lo, p_hi, count = as_int(p_lo, "p_lo"), as_int(p_hi, "p_hi"), as_int(count, "count")
     if not (3 <= p_lo <= p_hi < 2**63):
         raise ValueError(f"need 3 <= p_lo <= p_hi < 2^63, got [{p_lo}, {p_hi}]")
     if count < 1:

@@ -5,12 +5,12 @@ sum_j f_j z^j.  On the unit circle its fourth-power L4 norm is the exact
 integer c_0^2 + 2 sum_{u>=1} c_u^2, where c_u are the aperiodic
 autocorrelations.  Every norm here is an exact integer: the spectral
 kernel rounds back to integers under a residual guard, and the direct
-kernel sums in floating point only where every partial sum is an integer
-the float type represents exactly.  Above 896 coefficients the direct
-kernel sums each non-negative lag once, as tiled matrix products of
-zero-padded shifts of the sequence: about t^2 / 2 products, not the t^2
-of a correlation over all 2t - 1 lags.  Both operands hold only -1, 0
-and 1, so whatever order and however many threads BLAS sums them in,
+kernel adds float32 tiles, whose every entry is an integer float32
+represents exactly, into int32 lag sums.  Above 896 coefficients the
+direct kernel sums each non-negative lag once, as tiled matrix products
+of zero-padded shifts of the sequence: about t^2 / 2 products, not the
+t^2 of a correlation over all 2t - 1 lags.  Both operands hold only -1,
+0 and 1, so whatever order and however many threads BLAS sums them in,
 every partial sum counts a subset of the products at one lag.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
@@ -25,8 +25,7 @@ outputs and the int64 result), plus pocketfft's own scratch, about 16
 bytes per point of each of the two running transforms, and every irfft
 output is rounded straight into the result; an exact norm at t ~ 1e7
 peaks near 49 bytes of RSS per coefficient.  The direct kernel holds
-at most 12 bytes per coefficient in float32 and 16 in float64, plus its
-tile buffers of about 1 MiB.
+at most 12 bytes per coefficient, plus about 0.6 MiB of tile buffers.
 FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
 anything is allocated for it.
 """
@@ -122,10 +121,6 @@ def littlewoodize(seq) -> np.ndarray:
     return _read_only(np.where(arr == 0, 1, arr).astype(np.int8, copy=False))
 
 
-# Largest length whose direct autocorrelation sums run in float32: every
-# integer of magnitude <= 2**24 is a float32.
-_FLOAT32_EXACT_MAX = 2**24
-
 # Longest sequence the direct kernel sums by one np.correlate over all its
 # 2t - 1 lags.  Measured on a 2-vCPU VM: the tiles below cost the same at
 # 768 and 896 coefficients, 21-25% less at 1024 and 7 times as much at 64.
@@ -139,8 +134,8 @@ _R_TILE = 512
 _D_TILE = 128
 
 
-def _direct_correlation(f: np.ndarray, dtype) -> np.ndarray:
-    """Non-negative lags of sum_j f_j f_{j+u}, summed in the float dtype.
+def _direct_correlation(f: np.ndarray) -> np.ndarray:
+    """Non-negative lags of sum_j f_j f_{j+u}: float32 at the leaf, else int32.
 
     Up to _DIRECT_LEAF coefficients: one np.correlate.  Above, with x = f
     padded by zeros and a lag u = b D + v, 0 <= v < b (b = _LAG_BLOCK),
@@ -149,11 +144,11 @@ def _direct_correlation(f: np.ndarray, dtype) -> np.ndarray:
     in tiles of at most _R_TILE indices r by _D_TILE blocks D, formed only
     where some r - b D >= 0, so about t^2 / 2 products are summed.  Each
     tile is copied from a strided view of x into a buffer allocated once
-    per call.
+    per call, multiplied in float32 and added into int32 lag sums.
     """
     t = f.size
     if t <= _DIRECT_LEAF:
-        g = f.astype(dtype)
+        g = f.astype(np.float32)
         return np.correlate(g, g, "full")[t - 1 :]
     b = _LAG_BLOCK
     width = min(_R_TILE, t)
@@ -161,14 +156,14 @@ def _direct_correlation(f: np.ndarray, dtype) -> np.ndarray:
     height = min(_D_TILE, blocks)
     # f[r] is x[width + r]: width zeros in front, for r - b D < 0, and
     # behind, for r + v >= t and for the windows of a short last tile
-    x = np.zeros(t + width + max(width, b), dtype=dtype)
+    x = np.zeros(t + width + max(width, b), dtype=np.float32)
     x[width : width + t] = f
     windows = sliding_window_view(x, width)  # windows[i] = x[i : i + width]
     shifts = sliding_window_view(x, b)  # shifts[i] = x[i : i + b]
-    y = np.empty((height, width), dtype=dtype)
-    w = np.empty((width, b), dtype=dtype)
-    tile = np.empty((height, b), dtype=dtype)
-    c = np.zeros((blocks, b), dtype=dtype)
+    y = np.empty((height, width), dtype=np.float32)
+    w = np.empty((width, b), dtype=np.float32)
+    tile = np.empty((height, b), dtype=np.float32)
+    c = np.zeros((blocks, b), dtype=np.int32)
     for r0 in range(0, t, width):
         n = min(width, t - r0)
         w[:n] = shifts[width + r0 : width + r0 + n]
@@ -179,7 +174,7 @@ def _direct_correlation(f: np.ndarray, dtype) -> np.ndarray:
             start = width + r0 - b * d0
             y[:h, :n] = windows[start - b * (h - 1) : start + 1 : b][::-1, :n]
             np.matmul(y[:h, :n], w[:n], out=tile[:h])
-            c[d0 : d0 + h] += tile[:h]
+            np.add(c[d0 : d0 + h], tile[:h], out=c[d0 : d0 + h], casting="unsafe", dtype=np.int32)
     return c.reshape(-1)[:t]
 
 
@@ -194,23 +189,21 @@ def autocorrelation_naive(seq) -> np.ndarray:
     at the speed of BLAS matrix products rather than of one dot product
     per lag.
 
-    The sums in floating point are exact.  Every entry of both operands
-    lies in {-1, 0, 1}, so each product f_j f_{j+u} does too, and every
-    value that BLAS or the accumulation of tiles forms, in whatever order
-    and on however many threads, is a sum over a subset of the products
-    at one lag: an integer of magnitude <= t.  float32 represents every
-    such integer while t <= 2**24, and float64 for any t that fits in
-    memory.  Returns int64.
+    The sums are exact.  Every entry of both operands lies in {-1, 0, 1},
+    so every value that BLAS or the accumulation of tiles forms, in
+    whatever order and on however many threads, sums a subset of the
+    products f_j f_{j+u} at one lag.  float32 tiles are exact: each entry
+    sums at most 512 products (896 in the leaf), and float32 holds every
+    integer up to 2**24.  int32 lag sums, of magnitude <= t, are exact
+    while t < 2**31; such a length would need about 2e18 products, so no
+    guard is added.  Returns int64.
 
-    Memory, above the leaf: the padded sequence and the lag sums, one
-    float each per coefficient, with the three tile buffers (576 KiB in
-    float32, 1.1 MiB in float64), then the lag sums and the int64 result.
-    Under tracemalloc the peak stays below 12 t bytes + 1 MiB in float32
-    and 16 t bytes + 2 MiB in float64.
+    Memory, above the leaf: the padded float32 sequence and the int32 lag
+    sums, 4 bytes each per coefficient, and 576 KiB of tile buffers; once
+    _direct_correlation returns, only the lag sums and the int64 result:
+    under tracemalloc, below 12 t bytes + 1 MiB.
     """
-    f = _coefficients(seq)
-    dtype = np.float32 if f.size <= _FLOAT32_EXACT_MAX else np.float64
-    return _direct_correlation(f, dtype).astype(np.int64)
+    return _direct_correlation(_coefficients(seq)).astype(np.int64)
 
 
 def _smooth_numbers(limit: int) -> tuple[int, ...]:
@@ -604,6 +597,7 @@ def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:
 
 def periodic_lower_bound(t: int, m: int) -> int:
     """sum_n max(0, t - |n| m)^2: the L4^4 floor for m-periodic sequences."""
+    t, m = as_int(t, "t"), as_int(m, "m")
     if t < 1 or m < 1:
         raise ValueError(f"need t, m >= 1, got t={t}, m={m}")
     return _window_sum_sq(t, m)

@@ -157,6 +157,17 @@ def test_gauss_sum_residual_rejects_a_composite_modulus():
         gauss_sum_residual(9, 1)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 3.0, np.float64(3.0), "3", None])
+def test_gauss_sum_residual_needs_an_integer_j(bad):
+    with pytest.raises(ValueError, match="^j must be an integer"):
+        gauss_sum_residual(7, bad)
+
+
+def test_gauss_sum_residual_accepts_numpy_integers():
+    assert gauss_sum_residual(23, np.int64(7)) == gauss_sum_residual(23, 7)
+    assert gauss_sum_residual(np.int32(23), np.uint8(30)) == gauss_sum_residual(23, 7)
+
+
 def test_gauss_sum_residual_all_small_p():
     for p in primes_in(3, 101):
         for j in range(p):

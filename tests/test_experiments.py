@@ -227,6 +227,34 @@ def test_run_convergence_validates_arguments():
         run_convergence(0.25, 0.0, 100, 200, 4)
     with pytest.raises(ValueError):
         run_convergence(0.25, 1.0, 100, 200, 1)
+    with pytest.raises(ValueError, match="^count must be an integer"):
+        run_convergence(0.25, 1.0, 100, 200, 2.5)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, 3.0, np.float64(3.0)])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: periodic_lower_bound(x, 1), "t"),
+        (lambda x: periodic_lower_bound(3, x), "m"),
+        (lambda x: prime_ladder(x, 200, 2), "p_lo"),
+        (lambda x: prime_ladder(3, x, 2), "p_hi"),
+        (lambda x: prime_ladder(100, 200, x), "count"),
+        (lambda x: technical_lemma_check(x, 3), "n"),
+        (lambda x: technical_lemma_check(3, x), "t"),
+    ],
+    ids=["periodic-t", "periodic-m", "ladder-p_lo", "ladder-p_hi", "ladder-count", "lemma-n", "lemma-t"],
+)
+def test_integer_arguments_reject_bool_and_float(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert periodic_lower_bound(np.int64(7), np.int8(3)) == periodic_lower_bound(7, 3) == 83
+    assert prime_ladder(np.int64(100), np.int32(200), np.uint8(2)) == prime_ladder(100, 200, 2)
+    assert prime_ladder(100, 200, 2) == [101, 211]
+    assert technical_lemma_check(np.int16(3), np.int64(4)) == technical_lemma_check(3, 4)
 
 
 def large_t_inequality(p, t, r=0):

@@ -464,10 +464,13 @@ def test_autocorrelation_naive_accepts_lists_and_integer_arrays():
         assert (c == autocorrelation_by_loop(reference)).all()
 
 
-def test_autocorrelation_naive_float64_branch(monkeypatch):
-    # Lower the float32 bound so short vectors take the float64 branch,
-    # and record the dtypes each np.correlate and np.matmul call sums in.
-    monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", 8)
+def test_autocorrelation_naive_one_route(monkeypatch):
+    # One route at every length: float32 operands for each np.correlate and
+    # np.matmul call, int32 lag sums, an int64 result.  It is exact because
+    # a tile entry sums at most _R_TILE products, which float32 holds, and
+    # a lag sum has magnitude <= t <= MAX_LENGTH, which int32 holds.
+    assert sequences._R_TILE < 2**24
+    assert sequences.MAX_LENGTH < 2**31
     seen = {"correlate": [], "matmul": []}
     correlate, matmul = np.correlate, np.matmul
 
@@ -493,6 +496,7 @@ def test_autocorrelation_naive_float64_branch(monkeypatch):
         1: (1, 0), 8: (1, 0), 9: (1, 0), 64: (1, 0), 896: (1, 0),
         897: (0, 2), 1563: (0, 4), 5000: (0, 10), 2**14 + 1: (0, 34),
     }
+    float32 = np.dtype(np.float32)
     rng = np.random.RandomState(19)
     for t, (correlates, products) in calls.items():
         for kind in seen.values():
@@ -502,28 +506,25 @@ def test_autocorrelation_naive_float64_branch(monkeypatch):
         assert c.dtype == np.int64
         assert (c == autocorrelation_by_loop(seq)).all()
         assert (len(seen["correlate"]), len(seen["matmul"])) == (correlates, products)
-        branch = np.dtype(np.float32 if t <= 8 else np.float64)
-        assert set(seen["correlate"] + seen["matmul"]) == {(branch, branch)}
+        assert set(seen["correlate"] + seen["matmul"]) == {(float32, float32)}
 
 
-def test_autocorrelation_naive_peak_memory(monkeypatch):
-    # On the tiled path: the padded sequence and the lag sums, one float
-    # each per coefficient, with the tile buffers (576 KiB in float32,
-    # 1.1 MiB in float64), then the lag sums and the int64 result.
+def test_autocorrelation_naive_peak_memory():
+    # On the tiled path: the padded float32 sequence and the int32 lag
+    # sums, 4 bytes each per coefficient, with the tile buffers (576 KiB),
+    # then the lag sums and the int64 result.
     t = 2**16
     seq = np.random.RandomState(43).choice(np.array([-1, 1], dtype=np.int8), size=t)
     expected = autocorrelation_fast(seq)
-    for float32_max, bound in ((2**24, 12 * t + 2**20), (8, 16 * t + 2**21)):
-        monkeypatch.setattr(sequences, "_FLOAT32_EXACT_MAX", float32_max)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            c = autocorrelation_naive(seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (c == expected).all()
-        assert peak <= bound
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        c = autocorrelation_naive(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (c == expected).all()
+    assert peak <= 12 * t + 2**20
 
 
 @settings(max_examples=150, deadline=None, database=None)
