@@ -18,22 +18,23 @@ public call; the vectors built here are read-only int8 arrays.
 Memory: from 2**14 coefficients up, the spectral kernel cuts the
 sequence into four pieces and transforms each at about t/2 points
 instead of one transform at about 2t, two transforms at a time: on the
-calling thread and on a single worker thread.  At most 24 bytes
-per coefficient are live at once under tracemalloc (four spectra of
-about 4t bytes, overwritten in place by the gap spectra, two irfft
-outputs and the int64 result), plus pocketfft's own scratch, about 16
-bytes per point of each of the two running transforms, and every irfft
-output is rounded straight into the result; an exact norm at t ~ 1e7
-peaks near 49 bytes of RSS per coefficient.  The direct kernel holds
-at most 12 bytes per coefficient, plus about 0.6 MiB of tile buffers.
-FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
-anything is allocated for it.
+calling thread and on the process's one worker thread, made on the
+first long call and looked up by process id, so a child made by fork
+makes its own.  At most 24 bytes per coefficient are live at once
+under tracemalloc (four spectra of about 4t bytes, overwritten in place
+by the gap spectra, two irfft outputs and the int64 result), plus
+pocketfft's own scratch, about 16 bytes per point of each of the two
+running transforms, and every irfft output is rounded straight into
+the result; an exact norm at t ~ 1e7 peaks near 49 bytes of RSS per
+coefficient.  The direct kernel holds at most 12 bytes per coefficient,
+plus about 0.6 MiB of tile buffers.  FeketeSpec caps t at MAX_LENGTH,
+so a length is rejected before anything is allocated for it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -270,39 +271,25 @@ def _to_power(spectrum: np.ndarray) -> None:
     im.fill(0.0)
 
 
-# The spectral kernel's one worker thread, in an executor made on the
-# first long sequence: importing concurrent.futures costs about 6 ms,
-# which every import of the package would otherwise pay.
-_fft_worker = None
-_fft_worker_lock = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _fft_worker(pid: int):
+    """The executor of the spectral kernel's one worker thread in process pid.
 
+    A child made by fork has a new pid, so its first long call evicts the
+    inherited executor, whose thread stayed in the parent.  With no lock,
+    none is inherited held; threads racing on the very first call may each
+    make an executor, and one left uncached is collected with its thread
+    after its batch.  concurrent.futures is imported here, as it costs
+    about 6 ms, which every import of the package would otherwise pay.
+    """
+    from concurrent.futures import ThreadPoolExecutor
 
-def _forget_fft_worker() -> None:
-    """In a child made by fork, which inherits the executor and the lock
-    but no thread, start afresh."""
-    global _fft_worker, _fft_worker_lock
-    _fft_worker = None
-    _fft_worker_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_fft_worker)
-
-
-def _submit_fft(transform, *args):
-    """Queue transform(*args) on the worker, made on first use."""
-    global _fft_worker
-    with _fft_worker_lock:
-        if _fft_worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _fft_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="feketelab-fft")
-        return _fft_worker.submit(transform, *args)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="feketelab-fft")
 
 
 def _transforms(transform, inputs: list, n: int) -> list:
-    """[transform(x, n) for x in inputs], on this thread and the worker at
-    once: numpy's transforms release the GIL.
+    """[transform(x, n) for x in inputs], on this thread and this process's
+    worker at once: numpy's transforms release the GIL.
 
     The worker takes inputs[1:] in order and this thread inputs[0], then,
     from the end of the list, each one the worker has not started yet.
@@ -310,7 +297,7 @@ def _transforms(transform, inputs: list, n: int) -> list:
     is busy, or there is only one); it waits only for transforms the
     worker is running.
     """
-    futures = [_submit_fft(transform, x, n) for x in inputs[1:]]
+    futures = [_fft_worker(os.getpid()).submit(transform, x, n) for x in inputs[1:]]
     try:
         done = {0: transform(inputs[0], n)}
         for i in range(len(futures), 0, -1):
@@ -386,12 +373,13 @@ def autocorrelation_fast(seq) -> np.ndarray:
     and its last q - 1 indices the lags (d-1) q + 1 .. d q - 1.
 
     The eight transforms run two at a time, one on the calling thread
-    and one on a single worker thread kept for the life of the process
-    (numpy's transforms release the GIL; a child made by fork gets a new
-    worker): the four forward transforms as one batch, then the inverses
-    of S_3 and S_2, then those of S_1 and S_0.  The worker runs nothing
-    but np.fft calls, and the caller runs, from the end of a batch, each
-    transform the worker has not started once its own is done.
+    and one on the process's worker thread, made on its first long call
+    and looked up by process id, so a child made by fork makes its
+    own (numpy's transforms release the GIL): the four forward transforms
+    as one batch, then the inverses of S_3 and S_2, then those of S_1 and
+    S_0.  The worker runs nothing but np.fft calls, and the caller runs,
+    from the end of a batch, each transform the worker has not started
+    once its own is done.
 
     Memory, short path: the spectrum (8n bytes), the irfft output (8n)
     and the int64 result (8t), the spectrum dropped before the result is
@@ -589,10 +577,18 @@ def char_sum_l4(spec: FeketeSpec) -> int:
 
 
 def _window_sum_sq(t: int, period: int, offset: int = 0) -> int:
-    """sum_n max(0, t - |offset - n * period|)^2 over all integers n, exactly."""
-    lo = (offset - t) // period
-    hi = -(-(offset + t) // period)
-    return sum(max(0, t - abs(offset - n * period)) ** 2 for n in range(lo, hi + 1))
+    """sum_n max(0, t - |offset - n * period|)^2 over all integers n, exactly.
+
+    The distances |offset - n period| run over d + k period, k >= 0, for
+    d = offset mod period and d = period - (offset mod period); with
+    x = t - d, the K = ceil(x / period) positive terms (x - k period)^2
+    sum to K x^2 - period x K (K - 1) + period^2 (K - 1) K (2K - 1) / 6.
+    """
+    total = 0
+    for x in (t - offset % period, t - period + offset % period):
+        K = max(0, -(-x // period))
+        total += K * x * x - period * x * K * (K - 1) + period**2 * (K - 1) * K * (2 * K - 1) // 6
+    return total
 
 
 def periodic_lower_bound(t: int, m: int) -> int:

@@ -1,5 +1,7 @@
+import gc
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -26,6 +28,7 @@ from feketelab.sequences import (
     _char_sum_l4_prefixes,
     _smooth_length,
     _sum_squares,
+    _window_sum_sq,
 )
 from feketelab.characters import legendre_table
 from feketelab.primality import primes_in
@@ -225,9 +228,17 @@ def test_split_kernel_guards_each_inverse(monkeypatch, gap, index):
     assert (gap, m) in seen
 
 
+def fft_workers():
+    """Names of the live threads of the spectral kernel's executors."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("feketelab-fft")]
+
+
 def test_split_kernel_from_several_threads():
     # Three callers share the one worker thread on a two-core host; a
-    # short switch interval interleaves them as often as it can.
+    # short switch interval interleaves them as often as it can.  With the
+    # cache empty, they race to make the executor: each may make its own,
+    # and every executor left uncached is collected with its thread.
+    sequences._fft_worker.cache_clear()
     rng = np.random.RandomState(47)
     seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in (2**14 + 3, 3 * 2**13 + 1)]
     expected = [autocorrelation_naive(seq) for seq in seqs]
@@ -254,6 +265,11 @@ def test_split_kernel_from_several_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(done) == [0, 1, 2]
     assert mismatches == []
+    deadline = time.monotonic() + 10
+    while len(fft_workers()) > 1 and time.monotonic() < deadline:
+        gc.collect()
+        time.sleep(0.05)
+    assert len(fft_workers()) <= 1
 
 
 def test_split_kernel_passes_an_error_on_the_worker_to_the_caller(monkeypatch):
@@ -308,7 +324,7 @@ def test_split_kernel_does_not_wait_for_a_busy_worker():
     seq = np.random.RandomState(57).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
     expected = autocorrelation_naive(seq)
     release = threading.Event()
-    held = sequences._submit_fft(release.wait, 10)
+    held = sequences._fft_worker(os.getpid()).submit(release.wait, 10)
     try:
         c = autocorrelation_fast(seq)
         assert not held.done()
@@ -320,8 +336,7 @@ def test_split_kernel_does_not_wait_for_a_busy_worker():
 
 def send_autocorrelation(seq, conn):
     c = autocorrelation_fast(seq)
-    workers = [t.name for t in threading.enumerate() if t.name.startswith("feketelab-fft")]
-    conn.send((c, workers))
+    conn.send((c, fft_workers()))
     conn.close()
 
 
@@ -331,17 +346,21 @@ def send_autocorrelation(seq, conn):
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
 )
 def test_split_kernel_in_a_forked_child():
-    # The parent's worker thread is running when the child is forked; the
-    # child inherits no such thread and must start one of its own.  The
-    # parent holds the worker's lock at the fork, so the child inherits
-    # that lock held, and must not wait on it.
+    # The parent's worker holds a task when the child is forked; the child
+    # inherits the parent's executor but not its thread, and must make an
+    # executor of its own.
     seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
     expected = autocorrelation_fast(seq)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=send_autocorrelation, args=(seq, send))
-    with sequences._fft_worker_lock:
+    release = threading.Event()
+    held = sequences._fft_worker(os.getpid()).submit(release.wait, 10)
+    try:
         child.start()
+    finally:
+        release.set()
+    assert held.result(timeout=30)
     send.close()
     try:
         assert receive.poll(30), "the forked child sent no result"
@@ -790,6 +809,26 @@ def test_periodic_lower_bound_rejects_bad_args():
 def test_periodic_lower_bound_equals_all_ones_norm():
     for t in range(1, 30):
         assert periodic_lower_bound(t, 1) == l4_norm_pow4([1] * t)
+
+
+def window_sum_sq_by_loop(t, period, offset):
+    """Oracle: one term per window n, sum_n max(0, t - |offset - n period|)^2."""
+    lo = (offset - t) // period
+    hi = -(-(offset + t) // period)
+    return sum(max(0, t - abs(offset - n * period)) ** 2 for n in range(lo, hi + 1))
+
+
+def test_window_sum_sq_equals_the_loop():
+    for t in range(1, 41):
+        for period in range(1, 13):
+            for offset in range(-50, 51):
+                assert _window_sum_sq(t, period, offset) == window_sum_sq_by_loop(t, period, offset)
+
+
+def test_periodic_lower_bound_of_a_huge_length():
+    # t^2 + 2 sum_{j<t} j^2, where one term per window would take hours
+    t = 10**12
+    assert periodic_lower_bound(t, 1) == t * t + (t - 1) * t * (2 * t - 1) // 3
 
 
 def test_littlewoodization_perturbation_bound():
