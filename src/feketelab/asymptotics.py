@@ -172,11 +172,15 @@ def solve_cubic_root(
     """Root of c3 x^3 + c2 x^2 + c1 x + c0 in [lo, hi] via bisection to
     adjacent floats.
 
-    The cubic must change sign on the bracket.  The bracket is halved
-    until its ends are adjacent floats, and its midpoint is returned with
-    no polish; on well-conditioned brackets the residual lands near
-    1e-14 * max coefficient.
+    The ends must be finite, in either order, and the cubic must change
+    sign on the bracket.  The bracket is halved until its midpoint is one
+    of its ends, so its ends are adjacent floats, and that midpoint is
+    returned with no polish; on well-conditioned brackets the residual
+    lands near 1e-14 * max coefficient.  Every halving moves one end
+    strictly inside, so the loop ends, after about 2,100 halvings at most.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
 
     def f(x: float) -> float:
         return ((c3 * x + c2) * x + c1) * x + c0
@@ -189,10 +193,8 @@ def solve_cubic_root(
     if (fa > 0) == (fb > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * a + 0.5 * b  # a + b may overflow
-        if mid == a or mid == b:
-            break
+    mid = 0.5 * a + 0.5 * b  # a + b may overflow
+    while mid != a and mid != b:
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -200,7 +202,8 @@ def solve_cubic_root(
             a, fa = mid, fm
         else:
             b = mid
-    return 0.5 * a + 0.5 * b
+        mid = 0.5 * a + 0.5 * b
+    return mid
 
 
 class RecordConstants(NamedTuple):

@@ -15,20 +15,17 @@ every partial sum counts a subset of the products at one lag.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 
-Memory: from 2**14 coefficients up, the spectral kernel cuts the
-sequence into four pieces and transforms each at about t/2 points
-instead of one transform at about 2t, two transforms at a time: on the
-calling thread and on the process's one worker thread, made on the
-first long call and looked up by process id, so a child made by fork
-makes its own.  At most 24 bytes per coefficient are live at once
-under tracemalloc (four spectra of about 4t bytes, overwritten in place
-by the gap spectra, two irfft outputs and the int64 result), plus
-pocketfft's own scratch, about 16 bytes per point of each of the two
-running transforms, and every irfft output is rounded straight into
-the result; an exact norm at t ~ 1e7 peaks near 49 bytes of RSS per
-coefficient.  The direct kernel holds at most 12 bytes per coefficient,
-plus about 0.6 MiB of tile buffers.  FeketeSpec caps t at MAX_LENGTH,
-so a length is rejected before anything is allocated for it.
+From 2**14 coefficients up, the spectral kernel cuts the sequence into
+four pieces, each transformed at about t/2 points, and runs its eight
+transforms in pairs: one on the calling thread and one on the process's
+worker thread (see _pair).
+
+Memory: at most about 24 bytes per coefficient under tracemalloc in the
+four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
+direct kernel, plus about 0.6 MiB of tile buffers; the docstrings of
+autocorrelation_fast and autocorrelation_naive say which arrays these
+are.  FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
+anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -151,13 +148,13 @@ def _direct_correlation(f: np.ndarray) -> np.ndarray:
     if t <= _DIRECT_LEAF:
         g = f.astype(np.float32)
         return np.correlate(g, g, "full")[t - 1 :]
-    b = _LAG_BLOCK
-    width = min(_R_TILE, t)
+    # t > _DIRECT_LEAF >= _R_TILE >= _LAG_BLOCK
+    b, width = _LAG_BLOCK, _R_TILE
     blocks = -(-t // b)
     height = min(_D_TILE, blocks)
     # f[r] is x[width + r]: width zeros in front, for r - b D < 0, and
     # behind, for r + v >= t and for the windows of a short last tile
-    x = np.zeros(t + width + max(width, b), dtype=np.float32)
+    x = np.zeros(t + 2 * width, dtype=np.float32)
     x[width : width + t] = f
     windows = sliding_window_view(x, width)  # windows[i] = x[i : i + width]
     shifts = sliding_window_view(x, b)  # shifts[i] = x[i : i + b]
@@ -258,16 +255,21 @@ def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
         )
 
 
-def _to_power(spectrum: np.ndarray) -> None:
-    """Overwrite a complex spectrum by |z|^2 + 0j.
+def _to_power(first: np.ndarray, rest=()) -> None:
+    """Overwrite the complex spectrum first by sum_i |F_i|^2 + 0j, the sum
+    over first and the spectra in rest, which are only read.
 
     irfft then gets a complex array, so it makes no complex copy of a
-    real input.
+    real input.  rest is a plain argument, not *rest, whose call measured
+    slower: the short path's one-spectrum call runs thousands of times in
+    the verify gate.
     """
-    parts = spectrum.view(np.float64)
+    parts = first.view(np.float64)
+    parts *= parts
+    for spectrum in rest:
+        parts += np.square(spectrum.view(np.float64))
     re, im = parts[0::2], parts[1::2]
-    np.square(parts, out=parts)
-    np.add(re, im, out=re)
+    re += im
     im.fill(0.0)
 
 
@@ -279,7 +281,7 @@ def _fft_worker(pid: int):
     inherited executor, whose thread stayed in the parent.  With no lock,
     none is inherited held; threads racing on the very first call may each
     make an executor, and one left uncached is collected with its thread
-    after its batch.  concurrent.futures is imported here, as it costs
+    after its pair.  concurrent.futures is imported here, as it costs
     about 6 ms, which every import of the package would otherwise pay.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -287,35 +289,33 @@ def _fft_worker(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="feketelab-fft")
 
 
-def _transforms(transform, inputs: list, n: int) -> list:
-    """[transform(x, n) for x in inputs], on this thread and this process's
+def _pair(transform, a, b, n: int) -> tuple:
+    """(transform(a, n), transform(b, n)), on this thread and this process's
     worker at once: numpy's transforms release the GIL.
 
-    The worker takes inputs[1:] in order and this thread inputs[0], then,
-    from the end of the list, each one the worker has not started yet.
-    So this thread never waits on a worker that is slow to start (its CPU
-    is busy, or there is only one); it waits only for transforms the
-    worker is running.
+    The worker is given b and this thread runs a, then b as well if the
+    worker has not started it.  So this thread never waits on a worker
+    that is slow to start (its CPU is busy, or there is only one); it
+    waits only for a transform the worker is running.  If a raises, b is
+    cancelled, or waited for if the worker has started it, so no transform
+    outlives the call that asked for it.
     """
-    futures = [_fft_worker(os.getpid()).submit(transform, x, n) for x in inputs[1:]]
+    future = _fft_worker(os.getpid()).submit(transform, b, n)
     try:
-        done = {0: transform(inputs[0], n)}
-        for i in range(len(futures), 0, -1):
-            if futures[i - 1].cancel():
-                done[i] = transform(inputs[i], n)
-        return [done[i] if i in done else futures[i - 1].result() for i in range(len(inputs))]
-    finally:
-        # no transform outlives the call that asked for it
-        for future in futures:
-            if not future.cancel():
-                future.exception()
+        first = transform(a, n)
+    except BaseException:
+        if not future.cancel():
+            future.exception()
+        raise
+    return first, (transform(b, n) if future.cancel() else future.result())
 
 
 def _to_gap_spectra(spectra: list) -> None:
     """Overwrite the piece spectra F_0..F_3 by the gap spectra S_0..S_3.
 
-    S_d = sum_i conj(F_i) F_{i+d}, and S_0 = sum_i |F_i|^2 + 0j, formed in
-    blocks of _GAP_BLOCK entries, so no temporary is longer than a block.
+    S_d = sum_i conj(F_i) F_{i+d}, and S_0 = sum_i |F_i|^2 + 0j by
+    _to_power once S_1..S_3 are formed, in blocks of _GAP_BLOCK entries,
+    so no temporary is longer than a block.
     """
     for lo in range(0, spectra[0].size, _GAP_BLOCK):
         f = [spectrum[lo : lo + _GAP_BLOCK] for spectrum in spectra]
@@ -326,12 +326,7 @@ def _to_gap_spectra(spectra: list) -> None:
         s2 = c0 * f[2]
         s2 += c1 * f[3]
         s3 = c0 * f[3]
-        parts = [x.view(np.float64) for x in f]
-        power = np.square(parts[0])
-        for x in parts[1:]:
-            power += np.square(x)
-        np.add(power[0::2], power[1::2], out=parts[0][0::2])
-        parts[0][1::2] = 0.0
+        _to_power(f[0], f[1:])
         f[1][...], f[2][...], f[3][...] = s1, s2, s3
 
 
@@ -372,22 +367,21 @@ def autocorrelation_fast(seq) -> np.ndarray:
     since m >= 2q - 1: its indices 0 .. q-1 give the lags d q .. d q + q-1
     and its last q - 1 indices the lags (d-1) q + 1 .. d q - 1.
 
-    The eight transforms run two at a time, one on the calling thread
-    and one on the process's worker thread, made on its first long call
-    and looked up by process id, so a child made by fork makes its
-    own (numpy's transforms release the GIL): the four forward transforms
-    as one batch, then the inverses of S_3 and S_2, then those of S_1 and
-    S_0.  The worker runs nothing but np.fft calls, and the caller runs,
-    from the end of a batch, each transform the worker has not started
-    once its own is done.
+    The eight transforms run in four pairs by _pair, one transform of a
+    pair on the calling thread and the other on the process's worker
+    thread (numpy's transforms release the GIL): the forward transforms
+    of P_0 and P_1, then of P_2 and P_3, then the inverses of S_2 and
+    S_3, then of S_0 and S_1.  The worker runs nothing but np.fft calls;
+    it is made on the first long call and looked up by process id, so a
+    child made by fork makes its own.
 
-    Memory, short path: the spectrum (8n bytes), the irfft output (8n)
-    and the int64 result (8t), the spectrum dropped before the result is
-    allocated, about 32 bytes per coefficient.  Four-piece path: the four
+    Memory, short path: the spectrum (8n bytes), the int64 result (8t)
+    and the irfft output (8n), with n about 2t: 44 bytes per coefficient
+    under tracemalloc at t = 2**14 - 1.  Four-piece path: the four
     piece spectra, of about 8m = 4t bytes each, are overwritten in place
-    by the gap spectra; S_3 and S_2 are inverted and their spectra
+    by the gap spectra; S_2 and S_3 are inverted and their spectra
     dropped before the int64 result (8t) is allocated, and their inverses
-    are rounded into it before S_1 and S_0 are inverted.  So at most
+    are rounded into it before S_0 and S_1 are inverted.  So at most
     about 24t bytes are live (24.3 bytes per coefficient under tracemalloc
     at t = 2**18), plus pocketfft's own scratch, about 16 bytes per point
     of each of the two running transforms.  Every irfft output is rounded
@@ -400,23 +394,23 @@ def autocorrelation_fast(seq) -> np.ndarray:
         n = _smooth_length(2 * t - 1)
         spectrum = np.fft.rfft(f, n)
         _to_power(spectrum)
-        corr = np.fft.irfft(spectrum, n)[:t]
-        del spectrum
         out = np.empty(t, dtype=np.int64)
-        _round_into(corr, out, t)
+        _round_into(np.fft.irfft(spectrum, n)[:t], out, t)
         return out
     q = -(-t // 4)
     m = _smooth_length(2 * q - 1)
-    spectra = _transforms(np.fft.rfft, [f[i * q : (i + 1) * q] for i in range(4)], m)
+    spectra = [
+        *_pair(np.fft.rfft, f[:q], f[q : 2 * q], m),
+        *_pair(np.fft.rfft, f[2 * q : 3 * q], f[3 * q :], m),
+    ]
     _to_gap_spectra(spectra)
-    below, above = _transforms(np.fft.irfft, spectra[2:], m)
+    below, above = _pair(np.fft.irfft, spectra[2], spectra[3], m)
     del spectra[2:]
     out = np.empty(t, dtype=np.int64)
     _round_gap(above, 3, q, out)
     _round_gap(below, 2, q, out)
     del below, above
-    below, above = _transforms(np.fft.irfft, spectra, m)
-    del spectra
+    below, above = _pair(np.fft.irfft, spectra[0], spectra[1], m)
     _round_gap(above, 1, q, out)
     _round_gap(below, 0, q, out)
     return out

@@ -223,6 +223,24 @@ def test_solve_cubic_root_requires_sign_change():
         solve_cubic_root(1, 0, 0, 1, 0.0, 1.0)
 
 
+def test_solve_cubic_root_converges_on_any_finite_bracket():
+    # Halving stops only at adjacent floats, however wide the bracket.
+    assert solve_cubic_root(1, 0, 0, -8, 0.0, 1e300) == 2.0
+    assert solve_cubic_root(1, 0, 0, -1e-300, 0.0, 1.0) == 1e-100
+    # A root near zero in the widest finite bracket takes about 2,100.
+    assert solve_cubic_root(0, 0, 1, -5e-324, -1.7e308, 1.7e308) == 5e-324
+    assert solve_cubic_root(0, 0, 1, -1e-300, 1.7e308, -1.7e308) == 1e-300
+    # The ends may come in either order.
+    assert solve_cubic_root(1, 0, 0, -8, 3.0, 0.0) == 2.0
+    assert solve_cubic_root(1, 0, 0, -8, 1e300, 0.0) == 2.0
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+def test_solve_cubic_root_rejects_a_non_finite_end(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        solve_cubic_root(1, 0, 0, -0.5, lo, hi)
+
+
 def test_record_constants_values():
     rc = record_constants()
     # Exact bits, so a solver edit that moves a constant by one ulp shows.

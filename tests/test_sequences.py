@@ -334,6 +334,38 @@ def test_split_kernel_does_not_wait_for_a_busy_worker():
     assert (c == expected).all()
 
 
+def test_split_kernel_runs_no_transform_after_a_failure(monkeypatch):
+    # The worker is held, so the transform paired with the caller's is
+    # still queued when the caller's fails: it is cancelled, and runs
+    # neither on the caller nor later on the worker.
+    seq = np.random.RandomState(67).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    caller = threading.get_ident()
+    real_rfft = np.fft.rfft
+    calls = []
+
+    def rfft_failing_on_the_caller(*args, **kwargs):
+        calls.append(threading.get_ident())
+        if threading.get_ident() == caller:
+            raise RuntimeError("transform failed on the caller")
+        return real_rfft(*args, **kwargs)
+
+    release = threading.Event()
+    worker = sequences._fft_worker(os.getpid())
+    held = worker.submit(release.wait, 10)
+    monkeypatch.setattr(np.fft, "rfft", rfft_failing_on_the_caller)
+    try:
+        with pytest.raises(RuntimeError, match="transform failed on the caller"):
+            autocorrelation_fast(seq)
+        assert calls == [caller]
+    finally:
+        release.set()
+    assert held.result(timeout=30)
+    # the worker runs its queue in order: whatever was left behind the
+    # held task has run once this one has
+    worker.submit(int).result(timeout=30)
+    assert calls == [caller]
+
+
 def send_autocorrelation(seq, conn):
     c = autocorrelation_fast(seq)
     conn.send((c, fft_workers()))
@@ -490,6 +522,9 @@ def test_autocorrelation_naive_one_route(monkeypatch):
     # a lag sum has magnitude <= t <= MAX_LENGTH, which int32 holds.
     assert sequences._R_TILE < 2**24
     assert sequences.MAX_LENGTH < 2**31
+    # the tiled branch pads by _R_TILE zeros, which cover a lag block and
+    # fit in any sequence above the leaf
+    assert sequences._DIRECT_LEAF >= sequences._R_TILE >= sequences._LAG_BLOCK
     seen = {"correlate": [], "matmul": []}
     correlate, matmul = np.correlate, np.matmul
 
@@ -662,22 +697,23 @@ def test_autocorrelation_fast_rejects_a_nan_residual(monkeypatch):
 
 
 def test_autocorrelation_fast_peak_memory():
-    # The four-piece path at m ~ t/2: four spectra, overwritten by the gap
-    # spectra, two irfft outputs and the int64 result, at most 24t bytes
-    # live (one transform at n = 2t held 32).
+    # The short path at n ~ 2t: the spectrum, the int64 result and the
+    # irfft output, about 44t bytes.  The four-piece path at m ~ t/2: four
+    # spectra, overwritten by the gap spectra, two irfft outputs and the
+    # int64 result, at most 24t bytes live.
     # tracemalloc sees numpy's allocations only, not pocketfft's scratch
     # inside each transform.
-    t = 2**18
-    seq = np.random.RandomState(37).choice(np.array([-1, 1], dtype=np.int8), size=t)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        c = autocorrelation_fast(seq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert c[0] == t
-    assert peak <= 30 * t
+    for t, bound in ((2**14 - 1, 48), (2**18, 30)):
+        seq = np.random.RandomState(37).choice(np.array([-1, 1], dtype=np.int8), size=t)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            c = autocorrelation_fast(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c[0] == t
+        assert peak <= bound * t, (t, peak / t)
 
 
 @pytest.mark.parametrize(
