@@ -148,8 +148,10 @@ def _round_half_away(x: Fraction) -> int:
 
 
 def prime_ladder(p_lo: int, p_hi: int, count: int) -> list[int]:
-    """count geometrically spaced targets in [p_lo, p_hi], each snapped
-    to the nearest prime above (so the top rung may exceed p_hi)."""
+    """count primes on geometric targets from p_lo to p_hi.  Rung i is the
+    smallest prime at or above its target and its floor: p_lo for the first
+    rung, the previous rung plus one after it, so a dense ladder runs past
+    p_hi.  One forward prime search per rung: time linear in count."""
     p_lo, p_hi, count = as_int(p_lo, "p_lo"), as_int(p_hi, "p_hi"), as_int(count, "count")
     if not (3 <= p_lo <= p_hi < 2**63):
         raise ValueError(f"need 3 <= p_lo <= p_hi < 2^63, got [{p_lo}, {p_hi}]")
@@ -159,10 +161,7 @@ def prime_ladder(p_lo: int, p_hi: int, count: int) -> list[int]:
     rungs: list[int] = []
     for i in range(count):
         target = p_lo * ratio ** (i / (count - 1)) if count > 1 else p_lo
-        q = next_prime_at_least(math.ceil(target))
-        while rungs and q <= rungs[-1]:
-            q = next_prime_at_least(q + 1)
-        rungs.append(q)
+        rungs.append(next_prime_at_least(max(math.ceil(target), rungs[-1] + 1 if rungs else p_lo)))
     return rungs
 
 
@@ -177,7 +176,7 @@ def run_convergence(
     divided by t^2.  Records are ordered by p.  A top rung longer than
     sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
-    if count < 2:
+    if as_int(count, "count") < 2:
         raise ValueError(f"need count >= 2, got {count}")
     R, T = float(R), float(T)  # so a float32 R or T cannot leak into the records
     limit = ratio_limit_u(R, T)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from feketelab import experiments, sequences, suites
 from feketelab.asymptotics import record_constants
 from feketelab.cli import entry, main
+from feketelab.primality import is_prime
 
 
 def run(capsys, *argv):
@@ -257,6 +258,26 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert len(lines) == 9
     assert lines[0] == "p,r,t,l4_pow4,ratio4,limit,abs_err,rel_err"
     assert "wrote 8 records" in out
+
+
+def test_scan_runs_a_dense_ladder_past_pmax(tmp_path, capsys):
+    # 2000 rungs on [100, 10000] collide on most targets; each takes the
+    # next prime above the previous rung, so the ladder ends past --pmax
+    out_file = tmp_path / "runs.csv"
+    code, out, _ = run(
+        capsys,
+        "scan", "--R", "0.25", "--T", "1e-6",
+        "--pmin", "100", "--pmax", "10000", "--count", "2000",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert "wrote 2000 records" in out
+    rows = out_file.read_text().strip().splitlines()[1:]
+    primes = [int(row.split(",")[0]) for row in rows]
+    assert len(primes) == 2000
+    assert all(is_prime(p) for p in primes)
+    assert all(b > a for a, b in zip(primes, primes[1:]))
+    assert rows[-1].split(",")[:3] == ["17609", "4402", "1"]
 
 
 def test_scan_json_format(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import csv
 import json
@@ -11,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from feketelab import experiments
 from feketelab.asymptotics import ratio_limit_u
 from feketelab.experiments import (
     _round_half_away,
@@ -167,13 +169,40 @@ def test_prime_ladder_needs_at_least_one_rung():
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(3, 10**5), st.integers(0, 10**5), st.integers(1, 30))
+@given(
+    st.one_of(st.integers(3, 10**5), st.integers(2**53, 2**63 - 1 - 10**5)),
+    st.integers(0, 10**5),
+    st.integers(1, 30),
+)
+@example(2**62 + 200, 10**6 - 200, 3)  # float(p_lo) = 2**62, and 2**62 + 135 is prime
 def test_prime_ladder_is_strictly_increasing_primes(p_lo, width, count):
     rungs = prime_ladder(p_lo, p_lo + width, count)
     assert len(rungs) == count
     assert rungs[0] >= p_lo
     assert all(is_prime(p) for p in rungs)
     assert all(b > a for a, b in zip(rungs, rungs[1:]))
+
+
+def test_prime_ladder_makes_one_prime_search_per_rung(monkeypatch):
+    # 1000 rungs on [100, 200] collide on nearly every target
+    calls, search = [], experiments.next_prime_at_least
+    monkeypatch.setattr(experiments, "next_prime_at_least", lambda n: calls.append(n) or search(n))
+    p_lo, p_hi, count = 100, 200, 1000
+    rungs = prime_ladder(p_lo, p_hi, count)
+    assert len(calls) == count
+    # oracle: a sieve past the top rung, then the first prime at or above
+    # both the target and the floor
+    flags = bytearray([1]) * (rungs[-1] + 1)
+    for n in range(2, math.isqrt(rungs[-1]) + 1):
+        if flags[n]:
+            flags[n * n :: n] = bytes(len(flags[n * n :: n]))
+    primes = [n for n in range(3, len(flags)) if flags[n]]
+    expected = []
+    for i in range(count):
+        target = math.ceil(p_lo * (p_hi / p_lo) ** (i / (count - 1)))
+        floor = expected[-1] + 1 if expected else p_lo
+        expected.append(primes[bisect.bisect_left(primes, max(target, floor))])
+    assert rungs == expected
 
 
 def test_run_convergence_record_fields():
@@ -227,8 +256,9 @@ def test_run_convergence_validates_arguments():
         run_convergence(0.25, 0.0, 100, 200, 4)
     with pytest.raises(ValueError):
         run_convergence(0.25, 1.0, 100, 200, 1)
-    with pytest.raises(ValueError, match="^count must be an integer"):
-        run_convergence(0.25, 1.0, 100, 200, 2.5)
+    for bad in (2.5, "3", None, True):
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            run_convergence(0.25, 1.0, 100, 200, bad)
 
 
 @pytest.mark.parametrize("bad", [True, np.True_, 2.5, 3.0, np.float64(3.0)])
