@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -43,26 +44,41 @@ MIN_GRID_STEP = 2.0**-12
 _SCAN_BLOCK = 8192
 
 
+def _real(x):
+    """x computed in float64: a float (np.float64 included) as is, an
+    array of bool, integer or float dtype as a float64 array, any other
+    real number (a numpy float32 or int64 too) as a Python float.  Each
+    public function widens its inputs with it once; str, None, complex
+    and other arrays raise TypeError."""
+    if isinstance(x, float):
+        return x
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+        return x.astype(np.float64, copy=False)
+    if isinstance(x, (numbers.Real, np.bool_)):
+        return float(x)
+    raise TypeError(f"expected a real number or array, got {type(x).__name__}")
+
+
 def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
     """Phi(R, T): the limit of ||g||_4^4 / p^2.  Requires finite R, T in [2**-500, 2**20].
 
-    R and T are floats or float64 arrays (broadcast together); a float
-    gives a float.  R is reduced mod 1/2 first (Phi shares u's
-    half-period), so large |R| cannot cancel against T.  Both lattice
-    sums, sum_n max(0, T - |x - n|)^2 at x = 0 and x = T + 2R, are summed
-    in closed form in K = floor(T), f = T - K and the distance y from
-    T + 2R to the nearest n + 1/2.  This is the one body for both
+    R and T are real numbers or arrays (broadcast together), computed in
+    float64; two floats give a float.  R is reduced mod 1/2 first (Phi
+    shares u's half-period), so large |R| cannot cancel against T.  Both
+    lattice sums, sum_n max(0, T - |x - n|)^2 at x = 0 and x = T + 2R, are
+    summed in closed form in K = floor(T), f = T - K and the distance y
+    from T + 2R to the nearest n + 1/2.  This is the one body for both
     routes, written with + - * / abs only (squares as products, max(0, d)
     as (d + |d|)/2) after one exact floor, so an array element and the
     same float give bit-identical values.
     """
-    if isinstance(R, np.ndarray) or isinstance(T, np.ndarray):
-        R = np.asarray(R, dtype=np.float64)
-        T = np.asarray(T, dtype=np.float64)
+    R, T = _real(R), _real(T)
+    if isinstance(R, float) and isinstance(T, float):
+        t_lo = t_hi = T
+    else:
+        R, T = np.asarray(R), np.asarray(T)
         # min/max propagate NaN; the initial 1.0 covers empty arrays
         t_lo, t_hi = T.min(initial=1.0), T.max(initial=1.0)
-    else:
-        t_lo = t_hi = T
     if not (T_MIN <= t_lo and t_hi <= T_MAX):
         bad = t_hi if t_lo >= T_MIN else t_lo
         raise ValueError(
@@ -70,7 +86,7 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
         )
     R = normalize_R(R)
     # Floor of T, exact for T > 0; numpy's float % costs ~28x np.floor.
-    K = np.floor(T) if isinstance(T, np.ndarray) else T - T % 1.0
+    K = T - T % 1.0 if isinstance(T, float) else np.floor(T)
     f = T - K
     # T + 2R sits y away from the nearest n + 1/2 (0 <= 2R < 1).
     y = abs(abs(f + 2.0 * R - 1.0) - 0.5)
@@ -85,9 +101,10 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
 def ratio_limit_u(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
     """u(R, T) = Phi(R, T) / T^2, the limit of ||g||_4^4 / ||g||_2^4.
 
-    Accepts floats or float64 arrays, like limit_l4_normalized.  Always
+    Accepts real numbers or arrays, like limit_l4_normalized.  Always
     at least 2 - 4T/3, hence > 4/3 whenever T < 1/2.
     """
+    T = _real(T)
     return limit_l4_normalized(R, T) / (T * T)
 
 
@@ -97,9 +114,10 @@ def _all(mask) -> bool:
 
 
 def normalize_R(R: FloatOrArray) -> FloatOrArray:
-    """Reduce the rotation fraction (float or float64 array) to [0, 1/2);
-    u is invariant under it."""
-    is_array = isinstance(R, np.ndarray)
+    """Reduce the rotation fraction (a real number or array, in float64)
+    to [0, 1/2); u is invariant under it."""
+    R = _real(R)
+    is_array = not isinstance(R, float)
     finite = np.isfinite(R).all() if is_array else math.isfinite(R)
     if not finite:
         raise ValueError(f"rotation fraction must be finite, got {R}")
@@ -132,7 +150,7 @@ def region_classify(R: float, T: float) -> Region:
 
     Both fractions must be finite; a finite T outside [1/2, 3/2] is OUTSIDE.
     """
-    R = normalize_R(R)
+    R, T = normalize_R(R), _real(T)
     if not 0.5 <= T <= 1.5:
         if not math.isfinite(T):
             raise ValueError(f"length fraction must be finite, got {T}")
@@ -155,9 +173,10 @@ def u4_closed_form(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
 
     u4 = -4T/3 + 2 + [4(T-1)^2 + (1-2R)^2 + (2T+2R-2)^2] / T^2.
     Along R = (3-2T)/4 this reduces to (-8T^3+48T^2-60T+27)/(6T^2).
-    Accepts floats or float64 arrays; every element must lie in the cell.
+    Accepts real numbers or arrays, computed in float64; every element
+    must lie in the cell.
     """
-    R = normalize_R(R)
+    R, T = normalize_R(R), _real(T)
     if not _all((1.0 <= T) & (T <= 1.5) & (T + R <= 1.5)):
         raise ValueError(f"({R}, {T}) lies outside the fourth cell")
     a = T - 1.0
@@ -172,15 +191,19 @@ def solve_cubic_root(
     """Root of c3 x^3 + c2 x^2 + c1 x + c0 in [lo, hi] via bisection to
     adjacent floats.
 
-    The ends must be finite, in either order, and the cubic must change
-    sign on the bracket.  The bracket is halved until its midpoint is one
-    of its ends, so its ends are adjacent floats, and that midpoint is
-    returned with no polish; on well-conditioned brackets the residual
-    lands near 1e-14 * max coefficient.  Every halving moves one end
-    strictly inside, so the loop ends, after about 2,100 halvings at most.
+    The coefficients must be finite, the ends finite and in either order,
+    and the cubic must change sign on the bracket.  The bracket is halved
+    until its midpoint is one of its ends, so its ends are adjacent
+    floats, and that midpoint is returned with no polish; on
+    well-conditioned brackets the residual lands near 1e-14 * max
+    coefficient.  Every halving moves one end strictly inside, so the loop
+    ends, after about 2,100 halvings at most.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite, got [{lo}, {hi}]")
+    # With finite coefficients and ends, Horner's form never yields NaN.
+    if not all(map(math.isfinite, (c3, c2, c1, c0))):
+        raise ValueError(f"coefficients must be finite, got {(c3, c2, c1, c0)}")
 
     def f(x: float) -> float:
         return ((c3 * x + c2) * x + c1) * x + c0
@@ -232,8 +255,9 @@ def record_constants() -> RecordConstants:
 def hj_specialization(R: FloatOrArray) -> FloatOrArray:
     """u on the T = 1 line: 7/6 + 8(|R| - 1/4)^2 for |R| <= 1/2.
 
-    Accepts a float or a float64 array.
+    Accepts a real number or array, computed in float64.
     """
+    R = _real(R)
     if not _all(abs(R) <= 0.5):
         raise ValueError(f"|R| <= 1/2 required, got {R}")
     d = abs(R) - 0.25
@@ -280,12 +304,14 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
     larger than max(refine_tol, 1e-13).  refine_tol must be positive and
     finite (a NaN or infinite tolerance would skip the refinement); the
     1e-13 floor keeps a tiny one from shrinking the scan step to zero.
-    Returns (R*, T*, u*) as Python floats.
+    Both arguments are computed in float64.  Returns (R*, T*, u*) as
+    Python floats.
     In double precision the localization of the minimizer bottoms out
     near 1e-8 (value comparisons cannot resolve the flat quadratic
     bottom below that), far below the 1e-6 the verification suite
     demands.
     """
+    grid_step, refine_tol = _real(grid_step), _real(refine_tol)
     if not MIN_GRID_STEP <= grid_step <= 1.0 / 64.0:
         raise ValueError(f"grid step must be in [2**-12, 1/64], got {grid_step}")
     if not (0.0 < refine_tol < math.inf):  # also rejects NaN

@@ -65,13 +65,7 @@ class DecompositionReport:
 
 
 def five_term_decomposition(spec: FeketeSpec) -> DecompositionReport:
-    """Evaluate the closed forms and the exact remainder for one spec.
-
-    Needs the exact norm of the raw (not Littlewood-ized) sequence, so
-    the length is capped at 1e4.
-    """
-    if spec.t > 10_000:
-        raise ValueError(f"decomposition capped at t <= 10000, got {spec.t}")
+    """Evaluate the closed forms and the exact remainder for one spec."""
     p, r, t = spec.p, spec.r, spec.t
     a_term = _window_sum_sq(t, p)
     c_term = _window_sum_sq(t, p, offset=t - 1 + 2 * r)
@@ -176,9 +170,7 @@ def run_convergence(
     divided by t^2.  Records are ordered by p.  A top rung longer than
     sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
-    if as_int(count, "count") < 2:
-        raise ValueError(f"need count >= 2, got {count}")
-    R, T = float(R), float(T)  # so a float32 R or T cannot leak into the records
+    R, T = float(R), float(T)  # Fraction takes no numpy float32 or float16
     limit = ratio_limit_u(R, T)
     # Every spec is validated, the top rung's length against MAX_LENGTH
     # included, before the first rung allocates anything.

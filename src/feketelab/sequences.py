@@ -25,7 +25,8 @@ four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
 direct kernel, plus about 0.6 MiB of tile buffers; the docstrings of
 autocorrelation_fast and autocorrelation_naive say which arrays these
 are.  FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
-anything is allocated for it.
+anything is allocated for it; every kernel rejects a longer raw sequence
+the same way.
 """
 
 from __future__ import annotations
@@ -84,11 +85,16 @@ def _coefficients(seq) -> np.ndarray:
     """seq as a 1-d, non-empty integer array over {-1, 0, +1}, not copied.
 
     Lists and integer arrays of any width pass; float, bool and str
-    entries, other shapes and out-of-range values raise ValueError.
+    entries, other shapes, lengths above MAX_LENGTH and out-of-range
+    values raise ValueError.
     """
     arr = np.asarray(seq)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficient vector must be 1-d and non-empty")
+    if arr.size > MAX_LENGTH:
+        raise ValueError(
+            f"length {arr.size} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
+        )
     if arr.dtype.kind not in "iu":
         raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
     if arr.min() < -1 or arr.max() > 1:
@@ -221,8 +227,9 @@ def _smooth_numbers(limit: int) -> tuple[int, ...]:
 
 
 # FFT lengths with no prime factor above 5, which pocketfft transforms
-# fastest.  2^40 points of float64 are far beyond any allocatable array.
-_SMOOTH_LENGTHS = _smooth_numbers(1 << 40)
+# fastest.  The longest any accepted length asks for is 2^24: four pieces
+# of MAX_LENGTH / 4 = 2^23 coefficients, each transformed at 2q - 1.
+_SMOOTH_LENGTHS = _smooth_numbers(MAX_LENGTH)
 
 
 def _smooth_length(m: int) -> int:

@@ -241,6 +241,16 @@ def test_solve_cubic_root_rejects_a_non_finite_end(lo, hi):
         solve_cubic_root(1, 0, 0, -0.5, lo, hi)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(4))
+def test_solve_cubic_root_rejects_a_non_finite_coefficient(slot, bad):
+    # inf * 0 would make f(0) NaN, and the bisection would compare NaN.
+    coeffs = [1.0, 0.0, 0.0, -8.0]
+    coeffs[slot] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        solve_cubic_root(*coeffs, 0.0, 3.0)
+
+
 def test_record_constants_values():
     rc = record_constants()
     # Exact bits, so a solver edit that moves a constant by one ulp shows.
@@ -479,6 +489,71 @@ def test_minimize_u_returns_python_floats():
 def test_scalar_u_returns_python_float():
     assert type(ratio_limit_u(0.25, 1.0)) is float
     assert type(limit_l4_normalized(0.25, 1.0)) is float
+
+
+# Each public function of the limit surface at one valid point; int
+# arguments stay valid when a Python int or np.int64 stands in for them.
+_POINT_CALLS = [
+    (limit_l4_normalized, (0.2, 1.1)),
+    (ratio_limit_u, (0.2, 1.1)),
+    (normalize_R, (-0.3,)),
+    (region_classify, (0.2, 1.1)),
+    (u4_closed_form, (0.2, 1.1)),
+    (hj_specialization, (0.2,)),
+    (limit_l4_normalized, (3, 1)),
+    (ratio_limit_u, (0, 1)),
+    (normalize_R, (-1,)),
+    (region_classify, (0, 1)),
+    (u4_closed_form, (0, 1)),
+    (hj_specialization, (0,)),
+    (minimize_u, (1 / 64, 2**-20)),
+    (minimize_u, (1 / 64, 1)),
+]
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float16, np.int64, int])
+@pytest.mark.parametrize("call, args", _POINT_CALLS)
+def test_every_real_scalar_is_computed_in_float64(call, args, kind):
+    for i, x in enumerate(args):
+        if kind in (np.int64, int) and x != int(x):
+            continue
+        narrow = kind(x)
+        got = call(*args[:i], narrow, *args[i + 1 :])
+        want = call(*args[:i], float(narrow), *args[i + 1 :])
+        assert got == want
+        assert type(got) is type(want)
+        if isinstance(got, tuple):
+            assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [(call, args) for call, args in _POINT_CALLS if call not in (region_classify, minimize_u)],
+)
+def test_every_float32_array_is_computed_in_float64(call, args):
+    arrays = [np.linspace(x, x + 0.05 * (x != 3), 5) for x in args]
+    for i, x in enumerate(arrays):
+        narrow = x.astype(np.float32)
+        got = call(*arrays[:i], narrow, *arrays[i + 1 :])
+        want = call(*arrays[:i], narrow.astype(np.float64), *arrays[i + 1 :])
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
+def test_minimize_u_refines_a_float32_step_in_float64():
+    assert minimize_u(np.float32(1 / 64), 1e-9) == minimize_u(1 / 64, 1e-9)
+    assert abs(minimize_u(np.float32(1 / 64), 1e-9)[0] - R0_EXPECTED) < 1e-8
+
+
+@pytest.mark.parametrize("bad", ["0.25", None, 1 + 0j, np.complex128(1), np.array(["0.25"])])
+@pytest.mark.parametrize(
+    "call, args",
+    [(call, args) for call, args in _POINT_CALLS if all(type(x) is float for x in args)],
+)
+def test_limit_surface_rejects_a_non_real_input(call, args, bad):
+    for i in range(len(args)):
+        with pytest.raises(TypeError, match="real number or array"):
+            call(*args[:i], bad, *args[i + 1 :])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])

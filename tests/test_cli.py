@@ -260,6 +260,33 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert "wrote 8 records" in out
 
 
+def test_scan_writes_one_row_for_count_1(tmp_path, capsys):
+    out_file = tmp_path / "runs.csv"
+    code, out, _ = run(
+        capsys,
+        "scan", "--R", "0.25", "--T", "1",
+        "--pmin", "100", "--pmax", "10000", "--count", "1",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    lines = out_file.read_text().strip().splitlines()
+    assert lines[0] == "p,r,t,l4_pow4,ratio4,limit,abs_err,rel_err"
+    assert [line.split(",")[:3] for line in lines[1:]] == [["101", "25", "101"]]
+    assert "wrote 1 records" in out
+
+
+def test_scan_rejects_count_0(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "scan", "--R", "0.25", "--T", "1",
+        "--pmin", "100", "--pmax", "10000", "--count", "0",
+        "--out", str(tmp_path / "runs.csv"),
+    )
+    assert code == 2 and out == ""
+    assert "need count >= 1" in err
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_scan_runs_a_dense_ladder_past_pmax(tmp_path, capsys):
     # 2000 rungs on [100, 10000] collide on most targets; each takes the
     # next prime above the previous rung, so the ladder ends past --pmax

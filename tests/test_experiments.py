@@ -79,11 +79,20 @@ def test_decomposition_closed_forms_count_quadruples():
                 )
 
 
-def test_decomposition_rejects_oversize_length():
-    with pytest.raises(ValueError):
-        five_term_decomposition(FeketeSpec(10007, 0, 10_001))
-    rep = five_term_decomposition(FeketeSpec(10007, 0, 10_000))
-    assert rep.A == rep.B
+@pytest.mark.parametrize(
+    "p, r, t",
+    [
+        (10007, 0, 10_001),
+        # (R0, T0) at p = 9461, rounded as run_convergence rounds them.
+        (9461, 2092, 10008),
+    ],
+)
+def test_decomposition_takes_lengths_past_ten_thousand(p, r, t):
+    # FeketeSpec's MAX_LENGTH is the decomposition's only length rule.
+    spec = FeketeSpec(p, r, t)
+    rep = five_term_decomposition(spec)
+    exact = l4_norm_pow4(fekete_coeffs(spec), kernel="naive")
+    assert rep.A + rep.B + rep.C + rep.D + rep.E_actual == exact
 
 
 def brute_lemma_sum(n, t):
@@ -254,8 +263,11 @@ def test_run_convergence_records_python_floats_for_float32_arguments():
 def test_run_convergence_validates_arguments():
     with pytest.raises(ValueError):
         run_convergence(0.25, 0.0, 100, 200, 4)
-    with pytest.raises(ValueError):
-        run_convergence(0.25, 1.0, 100, 200, 1)
+    # prime_ladder's count >= 1 is the one rung-count rule.
+    (rec,) = run_convergence(0.25, 1.0, 100, 200, 1)
+    assert (rec.p, rec.r, rec.t) == (101, 25, 101)
+    with pytest.raises(ValueError, match="need count >= 1"):
+        run_convergence(0.25, 1.0, 100, 200, 0)
     for bad in (2.5, "3", None, True):
         with pytest.raises(ValueError, match="^count must be an integer"):
             run_convergence(0.25, 1.0, 100, 200, bad)

@@ -26,6 +26,7 @@ from feketelab.sequences import (
     periodic_lower_bound,
     _certify_autocorrelation,
     _char_sum_l4_prefixes,
+    _SMOOTH_LENGTHS,
     _smooth_length,
     _sum_squares,
     _window_sum_sq,
@@ -610,6 +611,21 @@ def test_smooth_length_matches_brute_force():
     assert [_smooth_length(m) for m in range(1, 10_001)] == [
         brute(m) for m in range(1, 10_001)
     ]
+
+
+def test_smooth_lengths_reach_no_further_than_max_length():
+    # Four pieces of MAX_LENGTH / 4 ask for the longest transform, 2**24.
+    assert _SMOOTH_LENGTHS[-1] <= sequences.MAX_LENGTH
+    assert _smooth_length(2 * (sequences.MAX_LENGTH // 4) - 1) == 2**24
+    assert _smooth_length(2**24 - 1) == 2**24
+
+
+def test_kernels_reject_a_raw_sequence_longer_than_max_length():
+    # A longer raw sequence would ask for a transform past the table.
+    seq = np.zeros(sequences.MAX_LENGTH + 1, dtype=np.int8)
+    for call in (autocorrelation_fast, autocorrelation_naive, l4_norm_pow4):
+        with pytest.raises(ValueError, match="exceeds MAX_LENGTH"):
+            call(seq)
 
 
 def test_autocorrelation_fast_all_ones_at_largest_ladder_length():
