@@ -23,7 +23,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .asymptotics import ratio_limit_u
+from .asymptotics import _real, ratio_limit_u
 from .primality import as_int, next_prime_at_least
 from .sequences import (
     FeketeSpec,
@@ -170,7 +170,9 @@ def run_convergence(
     divided by t^2.  Records are ordered by p.  A top rung longer than
     sequences.MAX_LENGTH raises ValueError before any rung runs.
     """
-    R, T = float(R), float(T)  # Fraction takes no numpy float32 or float16
+    # as asymptotics widens them, then as a Python float: Fraction takes no
+    # numpy float32 or float16, and a str raises TypeError
+    R, T = float(_real(R)), float(_real(T))
     limit = ratio_limit_u(R, T)
     # Every spec is validated, the top rung's length against MAX_LENGTH
     # included, before the first rung allocates anything.

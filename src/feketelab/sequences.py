@@ -31,6 +31,7 @@ the same way.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from bisect import bisect_left
@@ -81,19 +82,21 @@ class FeketeSpec:
         object.__setattr__(self, "t", t)
 
 
-def _coefficients(seq) -> np.ndarray:
-    """seq as a 1-d, non-empty integer array over {-1, 0, +1}, not copied.
+def _coefficients(seq, ndim: int = 1) -> np.ndarray:
+    """seq as a non-empty integer array over {-1, 0, +1}, not copied: one
+    sequence (ndim = 1) or a stack of equal-length rows (ndim = 2).
 
     Lists and integer arrays of any width pass; float, bool and str
     entries, other shapes, lengths above MAX_LENGTH and out-of-range
     values raise ValueError.
     """
     arr = np.asarray(seq)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("coefficient vector must be 1-d and non-empty")
-    if arr.size > MAX_LENGTH:
+    if arr.ndim != ndim or arr.size == 0:
+        what = "vector" if ndim == 1 else "stack"
+        raise ValueError(f"coefficient {what} must be {ndim}-d and non-empty")
+    if arr.shape[-1] > MAX_LENGTH:
         raise ValueError(
-            f"length {arr.size} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
+            f"length {arr.shape[-1]} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
         )
     if arr.dtype.kind not in "iu":
         raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
@@ -138,6 +141,59 @@ _R_TILE = 512
 _D_TILE = 128
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
+
+    Looked up once, at the first tiled call, not at import: the
+    scipy_openblas_{get,set}_num_threads64_ symbols of the
+    libscipy_openblas library that numpy's wheels bundle in numpy.libs,
+    opened with RTLD_NOLOAD, so only a library this process has already
+    loaded is used.  Any other BLAS (MKL, Accelerate, a system BLAS), or
+    a platform with no RTLD_NOLOAD, gives None.
+    """
+    import ctypes
+    import glob
+
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path, mode=noload)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    The count is process-global: a matrix product that another thread runs
+    inside the window runs on one thread too, and two windows that overlap
+    in time may restore each other's count.  With no OpenBLAS found by
+    _openblas_threads, nothing is changed.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _direct_correlation(f: np.ndarray) -> np.ndarray:
     """Non-negative lags of sum_j f_j f_{j+u}: float32 at the leaf, else int32.
 
@@ -168,17 +224,18 @@ def _direct_correlation(f: np.ndarray) -> np.ndarray:
     w = np.empty((width, b), dtype=np.float32)
     tile = np.empty((height, b), dtype=np.float32)
     c = np.zeros((blocks, b), dtype=np.int32)
-    for r0 in range(0, t, width):
-        n = min(width, t - r0)
-        w[:n] = shifts[width + r0 : width + r0 + n]
-        top = -(-(r0 + n) // b)  # the blocks D with b D < r0 + n
-        for d0 in range(0, top, height):
-            h = min(height, top - d0)
-            # row i of y is x[r0 - b (d0 + i) :][:n], at windows[start - b i]
-            start = width + r0 - b * d0
-            y[:h, :n] = windows[start - b * (h - 1) : start + 1 : b][::-1, :n]
-            np.matmul(y[:h, :n], w[:n], out=tile[:h])
-            np.add(c[d0 : d0 + h], tile[:h], out=c[d0 : d0 + h], casting="unsafe", dtype=np.int32)
+    with _one_blas_thread():
+        for r0 in range(0, t, width):
+            n = min(width, t - r0)
+            w[:n] = shifts[width + r0 : width + r0 + n]
+            top = -(-(r0 + n) // b)  # the blocks D with b D < r0 + n
+            for d0 in range(0, top, height):
+                h = min(height, top - d0)
+                # row i of y is x[r0 - b (d0 + i) :][:n], at windows[start - b i]
+                start = width + r0 - b * d0
+                y[:h, :n] = windows[start - b * (h - 1) : start + 1 : b][::-1, :n]
+                np.matmul(y[:h, :n], w[:n], out=tile[:h])
+                np.add(c[d0 : d0 + h], tile[:h], out=c[d0 : d0 + h], casting="unsafe", dtype=np.int32)
     return c.reshape(-1)[:t]
 
 
@@ -264,7 +321,8 @@ def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
 
 def _to_power(first: np.ndarray, rest=()) -> None:
     """Overwrite the complex spectrum first by sum_i |F_i|^2 + 0j, the sum
-    over first and the spectra in rest, which are only read.
+    over first and the spectra in rest, which are only read.  A spectrum
+    is one C-contiguous row or a stack of them, entries on the last axis.
 
     irfft then gets a complex array, so it makes no complex copy of a
     real input.  rest is a plain argument, not *rest, whose call measured
@@ -275,7 +333,7 @@ def _to_power(first: np.ndarray, rest=()) -> None:
     parts *= parts
     for spectrum in rest:
         parts += np.square(spectrum.view(np.float64))
-    re, im = parts[0::2], parts[1::2]
+    re, im = parts[..., 0::2], parts[..., 1::2]
     re += im
     im.fill(0.0)
 
@@ -357,13 +415,32 @@ def _round_gap(inverse: np.ndarray, d: int, q: int, out: np.ndarray) -> None:
         _round_into(inverse[inverse.size - q + 1 :], out[lo - q + 1 : lo], t)
 
 
+def _short_correlation(f: np.ndarray) -> np.ndarray:
+    """int64 autocorrelations of each row of f along its last axis, t < 2**14.
+
+    f is one validated sequence or a C-contiguous stack of them, whose
+    spectrum rfft then lays out row by row, as _to_power needs.  One
+    spectral convolution of every row with its reversal, zero-padded to
+    the smallest n = 2^a 3^b 5^c >= 2t-1, and one guard over all rows.
+    """
+    t = f.shape[-1]
+    n = _smooth_length(2 * t - 1)
+    spectrum = np.fft.rfft(f, n)
+    _to_power(spectrum)
+    out = np.empty(f.shape, dtype=np.int64)
+    _round_into(np.fft.irfft(spectrum, n)[..., :t], out, t)
+    return out
+
+
 def autocorrelation_fast(seq) -> np.ndarray:
     """Same integer output as autocorrelation_naive in O(t log t).
 
     Raises KernelPrecisionError if any value fails to round cleanly to an
     integer (residual >= 1e-3 or NaN).  Below 2**14 coefficients: one
     spectral convolution of the sequence with its reversal, zero-padded
-    to the smallest n = 2^a 3^b 5^c >= 2t-1.  From 2**14 up the sequence
+    to the smallest n = 2^a 3^b 5^c >= 2t-1, by _short_correlation, a
+    body over the last axis that _l4_rows runs on a whole stack of
+    sequences at once; here it gets one.  From 2**14 up the sequence
     is cut into four pieces P_0..P_3 of q = ceil(t/4) coefficients (the
     last one shorter), each transformed at the smallest 5-smooth
     m >= 2q - 1, about n / 4.  A pair (j, j+u) has j in P_i and j+u in
@@ -398,12 +475,7 @@ def autocorrelation_fast(seq) -> np.ndarray:
     f = _coefficients(seq)
     t = f.size
     if t < _SPLIT_MIN:
-        n = _smooth_length(2 * t - 1)
-        spectrum = np.fft.rfft(f, n)
-        _to_power(spectrum)
-        out = np.empty(t, dtype=np.int64)
-        _round_into(np.fft.irfft(spectrum, n)[:t], out, t)
-        return out
+        return _short_correlation(f)
     q = -(-t // 4)
     m = _smooth_length(2 * q - 1)
     spectra = [
@@ -495,18 +567,22 @@ def l2_norm_pow2(seq) -> int:
     return int(np.count_nonzero(_coefficients(seq)))
 
 
-def _sum_squares(values: np.ndarray) -> int:
-    """Exact sum of v^2 over an int64 vector, as a Python int.
+def _sum_squares(values: np.ndarray):
+    """Exact sums of v^2 along the last axis of int64 values.
 
     int64 dot products run over chunks of floor(2^62 / max v^2) entries,
-    so no partial sum can overflow, and the chunk sums are added as
-    Python ints.  Exact whenever each v^2 fits in int64 (|v| < 3.03e9).
+    so no partial sum can overflow.  One chunk gives int64 sums, one per
+    row; more, which only a vector longer than a stack's rows can need,
+    are added as Python ints.  Exact whenever each v^2 fits in int64
+    (|v| < 3.03e9).  The peak is read with no temporary array.
     """
-    peak = int(np.abs(values).max())
+    peak = int(max(values.max(), -values.min()))
     step = max(1, 2**62 // max(peak * peak, 1))
+    t = values.shape[-1]
+    if t <= step:
+        return np.einsum("...i,...i->...", values, values)
     return sum(
-        int(np.dot(values[i : i + step], values[i : i + step]))
-        for i in range(0, values.size, step)
+        int(np.dot(values[i : i + step], values[i : i + step])) for i in range(0, t, step)
     )
 
 
@@ -522,7 +598,24 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
         c = autocorrelation_naive(seq)
     else:
         raise ValueError(f"kernel must be 'fast' or 'naive', got {kernel!r}")
-    return 2 * _sum_squares(c) - int(c[0]) ** 2
+    return 2 * int(_sum_squares(c)) - int(c[0]) ** 2
+
+
+def _l4_rows(rows) -> np.ndarray:
+    """l4_norm_pow4 of each row of a 2-d stack of sequences shorter than
+    2**14, as int64, from one spectral call.
+
+    The rows pass _coefficients' rules, as a stack; each is correlated by
+    autocorrelation_fast's short path and its squares summed as
+    l4_norm_pow4 sums them.  A row's norm is at most 2 t^3 < 2**43, exact
+    in int64.
+    """
+    f = _coefficients(rows, ndim=2)
+    t = f.shape[-1]
+    if t >= _SPLIT_MIN:
+        raise ValueError(f"stacked rows must be shorter than 2**14 = {_SPLIT_MIN}, got {t}")
+    c = _short_correlation(np.ascontiguousarray(f))
+    return 2 * _sum_squares(c) - c[:, 0] ** 2
 
 
 def merit_factor(seq) -> float:

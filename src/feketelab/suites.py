@@ -39,6 +39,7 @@ from .sequences import (
     l4_norm_pow4,
     periodic_lower_bound,
     _char_sum_l4_prefixes,
+    _l4_rows,
     _window_sum_sq,
 )
 
@@ -53,10 +54,12 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-# Seconds any check may take.  The slowest, kernel-equality, took 0.14-0.23 s
-# in 29 of 30 in-process runs (6 processes) on a 2-vCPU VM, periodic-bound
-# and exponential-sum-bound next at 0.09-0.17 s.  The 30th, the first run of
-# its process, took 1.11 s: OpenBLAS on its default two threads stalled.
+# Seconds any check may take.  In 30 in-process runs (6 processes) on a
+# 2-vCPU VM the slowest, kernel-equality, took 0.17-0.29 s, with
+# exponential-sum-bound next at 0.11-0.20 s and charsum-oracle at
+# 0.03-0.07 s; periodic-bound took 0.009-0.019 s.  The direct kernel's
+# matrix products run on one OpenBLAS thread, so a neighbour that keeps
+# BLAS threads busy no longer stalls kernel-equality.
 CHECK_BUDGET_S = 2.0
 
 # Every check, in declaration order: the `all` suite.
@@ -145,15 +148,20 @@ def check_hj_specialization() -> tuple[bool, str]:
 @_gate("charsum-oracle")
 def check_charsum_oracle() -> tuple[bool, str]:
     """Quadruple character sum equals the autocorrelation norm exactly,
-    at every length t <= 2p: one prefix pass per (p, r)."""
+    at every length t <= 2p: one prefix pass per (p, r) and one stacked
+    norm call per (p, t); the first mismatch is reported in (r, t) order."""
     checked = 0
     for p in primes_in(3, 13):
-        for r in range(p):
-            sums = _char_sum_l4_prefixes(FeketeSpec(p, r, 2 * p))
-            for t in range(1, 2 * p + 1):
-                if sums[t - 1] != l4_norm_pow4(fekete_coeffs(FeketeSpec(p, r, t))):
-                    return False, f"mismatch at p={p} r={r} t={t}"
-                checked += 1
+        sums = np.array([_char_sum_l4_prefixes(FeketeSpec(p, r, 2 * p)) for r in range(p)])
+        norms = np.empty_like(sums)
+        for t in range(1, 2 * p + 1):
+            rows = [fekete_coeffs(FeketeSpec(p, r, t)) for r in range(p)]
+            norms[:, t - 1] = _l4_rows(rows)
+        bad = np.flatnonzero(sums != norms)
+        if bad.size:
+            r, t = divmod(int(bad[0]), 2 * p)
+            return False, f"mismatch at p={p} r={r} t={t + 1}"
+        checked += sums.size
     return True, f"{checked} specs equal exactly"
 
 
@@ -242,15 +250,20 @@ def check_exponential_sum_bound() -> tuple[bool, str]:
 @_gate("periodic-bound")
 def check_periodic_bound() -> tuple[bool, str]:
     """Every m-periodic sign sequence (m <= 6, t <= 24) meets the floor;
-    the all-ones sequence attains it at m = 1."""
+    the all-ones sequence attains it at m = 1.  One stacked norm call per
+    (m, t) covers every pattern; the first failure is reported in
+    (pattern, t) order."""
     checked = 0
     for m in range(1, 7):
-        for pattern in itertools.product((-1, 1), repeat=m):
-            for t in range(1, 25):
-                seq = [pattern[j % m] for j in range(t)]
-                if l4_norm_pow4(seq) < periodic_lower_bound(t, m):
-                    return False, f"floor broken m={m} t={t} {pattern}"
-                checked += 1
+        patterns = np.array(list(itertools.product((-1, 1), repeat=m)))
+        ok = np.empty((len(patterns), 24), dtype=bool)
+        for t in range(1, 25):
+            ok[:, t - 1] = _l4_rows(patterns[:, np.arange(t) % m]) >= periodic_lower_bound(t, m)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i, j = divmod(int(bad[0]), 24)
+            return False, f"floor broken m={m} t={j + 1} {tuple(patterns[i].tolist())}"
+        checked += ok.size
     for t in range(1, 25):
         if l4_norm_pow4([1] * t) != periodic_lower_bound(t, 1):
             return False, f"all-ones equality broken t={t}"

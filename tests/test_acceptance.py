@@ -150,6 +150,34 @@ def test_weil_check_reports_its_first_violation_in_lexicographic_order(monkeypat
     assert result.detail == "violation at p=7 (1,6,3)"
 
 
+def test_periodic_check_reports_its_first_failure_in_pattern_then_length_order(monkeypatch):
+    real = suites.periodic_lower_bound
+    monkeypatch.setattr(
+        suites, "periodic_lower_bound", lambda t, m: real(t, m) + 10**6 * ((t, m) == (5, 3))
+    )
+    result = suites.check_periodic_bound()
+    assert not result.passed
+    assert result.detail == "floor broken m=3 t=5 (-1, -1, -1)"
+
+
+def test_charsum_check_reports_its_first_mismatch_in_rotation_then_length_order(monkeypatch):
+    real = suites._char_sum_l4_prefixes
+
+    wrong_at = {2: 9, 4: 3}  # r: t at p = 7
+
+    def broken(spec):
+        sums = real(spec).copy()
+        if spec.p == 7 and spec.r in wrong_at:
+            sums[wrong_at[spec.r] - 1] += 1
+        return sums
+
+    monkeypatch.setattr(suites, "_char_sum_l4_prefixes", broken)
+    result = suites.check_charsum_oracle()
+    assert not result.passed
+    # (r, t) = (2, 9) comes before (4, 3) row by row, though not by length
+    assert result.detail == "mismatch at p=7 r=2 t=9"
+
+
 def test_decomposition_check_decomposes_each_grid_entry_once(monkeypatch):
     real, seen = suites.five_term_decomposition, []
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ def test_gauss_sum_residual_all_small_p():
     for p in primes_in(3, 101):
         for j in range(p):
             assert gauss_sum_residual(p, j) < 1e-6 * p
+
+
+def test_gauss_sum_residual_sums_in_blocks():
+    # Temporaries of about 36 bytes per residue, one block of 2**16 at a
+    # time: a whole-range sum at this p would peak near 38 MiB.
+    p = 1_000_003
+    legendre_table(p)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        residual = gauss_sum_residual(p, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-6 * p
+    assert peak < 4 * 2**20
 
 
 def quartic_sum_bruteforce(a, b, c, p):

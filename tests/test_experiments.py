@@ -260,6 +260,13 @@ def test_run_convergence_records_python_floats_for_float32_arguments():
     assert type(rec.limit) is float
 
 
+@pytest.mark.parametrize("R, T", [("0.25", 1.0), (0.25, "1"), ("0.25", "1")])
+def test_run_convergence_rejects_strings(R, T):
+    # as every asymptotics function does
+    with pytest.raises(TypeError, match="got str"):
+        run_convergence(R, T, 100, 200, 1)
+
+
 def test_run_convergence_validates_arguments():
     with pytest.raises(ValueError):
         run_convergence(0.25, 0.0, 100, 200, 4)

@@ -582,6 +582,68 @@ def test_autocorrelation_naive_peak_memory():
     assert peak <= 12 * t + 2**20
 
 
+def fake_blas(count):
+    """(get, set) over one thread count, and the list of counts set."""
+    state, sets = [count], []
+
+    def set_(n):
+        sets.append(n)
+        state[0] = n
+
+    return (lambda: state[0], set_), sets
+
+
+def test_direct_kernel_restores_the_blas_thread_count(monkeypatch):
+    blas, sets = fake_blas(2)
+    monkeypatch.setattr(sequences, "_openblas_threads", lambda: blas)
+    seq = np.random.RandomState(61).choice([-1, 1], size=2000)
+    expected = autocorrelation_fast(seq)
+    assert (autocorrelation_naive(seq) == expected).all()
+    assert sets == [1, 2]
+    # the leaf runs no matrix product and leaves the count alone
+    autocorrelation_naive(seq[: sequences._DIRECT_LEAF])
+    assert sets == [1, 2]
+
+    def failing_matmul(*args, **kwargs):
+        raise RuntimeError("tile failed")
+
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    with pytest.raises(RuntimeError, match="tile failed"):
+        autocorrelation_naive(seq)
+    assert sets == [1, 2, 1, 2]
+    assert blas[0]() == 2
+
+
+def test_direct_kernel_runs_numpys_openblas_on_one_thread(monkeypatch):
+    blas = sequences._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, _ = blas
+    before, inside = get(), []
+    real_matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        inside.append(get())
+        return real_matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    seq = np.random.RandomState(67).choice([-1, 1], size=2000)
+    assert (autocorrelation_naive(seq) == autocorrelation_fast(seq)).all()
+    assert inside and set(inside) == {1}
+    assert get() == before
+
+
+def test_direct_kernel_is_exact_when_no_openblas_is_found(monkeypatch, tmp_path):
+    # a numpy with no bundled OpenBLAS beside it: the lookup finds nothing
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert sequences._openblas_threads.__wrapped__() is None
+    monkeypatch.setattr(sequences, "_openblas_threads", lambda: None)
+    rng = np.random.RandomState(71)
+    for t in (sequences._DIRECT_LEAF + 1, 2000, 4099):
+        seq = rng.choice([-1, 0, 1], size=t)
+        assert (autocorrelation_naive(seq) == autocorrelation_fast(seq)).all()
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(
     st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=300),
@@ -710,6 +772,68 @@ def test_autocorrelation_fast_rejects_a_nan_residual(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
     with pytest.raises(KernelPrecisionError, match="residual nan at length 8"):
         autocorrelation_fast([1, -1, 1, 1, -1, -1, 1, 1])
+
+
+def test_stacked_short_path_equals_the_1d_kernel_row_by_row():
+    # t = 1 has a one-entry spectrum; 2**14 - 1 is the longest short path
+    rng = np.random.RandomState(47)
+    for t in list(range(1, 65)) + [2**14 - 1]:
+        rows = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(5, t))
+        stacked = sequences._short_correlation(rows)
+        assert stacked.dtype == np.int64 and stacked.shape == (5, t)
+        for row, c in zip(rows, stacked):
+            assert (c == autocorrelation_fast(row)).all(), t
+
+
+def test_l4_rows_equals_l4_norm_pow4_per_row():
+    rng = np.random.RandomState(53)
+    for t in (1, 2, 3, 17, 64, 1000, 2**14 - 1):
+        for dtype in (np.int8, np.int64, np.uint8):
+            values = [0, 1] if dtype == np.uint8 else [-1, 0, 1]
+            rows = rng.choice(np.array(values, dtype=dtype), size=(4, t))
+            norms = sequences._l4_rows(rows)
+            assert norms.dtype == np.int64
+            assert norms.tolist() == [l4_norm_pow4(row) for row in rows], (t, dtype)
+    # a list of rows and a non-contiguous stack pass too
+    assert sequences._l4_rows([[1, 1, -1], [1, 1, 1]]).tolist() == [11, 19]
+    columns = np.array([[1, 1], [1, 1], [-1, 1]]).T
+    assert not columns.flags.c_contiguous
+    assert sequences._l4_rows(columns).tolist() == [11, 19]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.ones((2, 2, 2), dtype=np.int8),
+        np.ones(3, dtype=np.int8),
+        np.ones((0, 3), dtype=np.int8),
+        np.ones((3, 0), dtype=np.int8),
+        np.ones((2, 3)),
+        np.ones((2, 3), dtype=bool),
+        np.array([[1, 0, 2]]),
+        np.array([[1, -2, 0]]),
+        np.ones((1, 2**14), dtype=np.int8),
+    ],
+    ids=["3-d", "1-d", "no rows", "empty rows", "float", "bool", "2", "-2", "2**14"],
+)
+def test_l4_rows_rejects_bad_stacks(bad):
+    with pytest.raises(ValueError):
+        sequences._l4_rows(bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_l4_rows_rejects_a_nan_in_one_row(monkeypatch):
+    real_irfft = np.fft.irfft
+
+    def irfft_with_a_nan_in_row_2(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        out[2, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan_in_row_2)
+    rows = np.random.RandomState(59).choice([-1, 1], size=(4, 9))
+    with pytest.raises(KernelPrecisionError, match="residual nan at length 9"):
+        sequences._l4_rows(rows)
 
 
 def test_autocorrelation_fast_peak_memory():
