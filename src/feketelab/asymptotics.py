@@ -76,7 +76,7 @@ def limit_l4_normalized(R: FloatOrArray, T: FloatOrArray) -> FloatOrArray:
     if isinstance(R, float) and isinstance(T, float):
         t_lo = t_hi = T
     else:
-        R, T = np.asarray(R), np.asarray(T)
+        T = np.asarray(T)
         # min/max propagate NaN; the initial 1.0 covers empty arrays
         t_lo, t_hi = T.min(initial=1.0), T.max(initial=1.0)
     if not (T_MIN <= t_lo and t_hi <= T_MAX):

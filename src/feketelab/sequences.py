@@ -111,12 +111,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def fekete_coeffs(spec: FeketeSpec) -> np.ndarray:
-    """Coefficient vector [ (j + r | p) for 0 <= j < t ], read-only int8."""
-    # Rotate the table by r, then repeat it cyclically to length t.  Both
-    # steps cost O(p + t); np.take(mode="wrap") wraps each index by repeated
-    # subtraction, which costs O(t^2 / p) when t is many periods long.
-    rotated = np.roll(legendre_table(spec.p), -(spec.r % spec.p))
-    return _read_only(np.resize(rotated, spec.t))
+    """Coefficient vector [ (j + r | p) for 0 <= j < t ], read-only int8: with
+    s = r mod p, entries s .. s + t - 1 of the tiled Legendre table, O(p + t),
+    possibly a view into that tiled buffer of fewer than t + 2p bytes."""
+    p, s, t = spec.p, spec.r % spec.p, spec.t
+    return _read_only(np.tile(legendre_table(p), -(-(s + t) // p))[s : s + t])
 
 
 def littlewoodize(seq) -> np.ndarray:
@@ -176,17 +175,17 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its count.
 
-    The count is process-global: a matrix product that another thread runs
-    inside the window runs on one thread too, and two windows that overlap
-    in time may restore each other's count.  With no OpenBLAS found by
-    _openblas_threads, nothing is changed.
+    The count is process-global: another thread's products in the window run
+    on one thread too.  A window that finds the count at 1 changes nothing, so
+    overlapping windows leave the count they found (and the inner ones run on
+    it once the outer ends).  With no OpenBLAS found, nothing changes.
     """
     blas = _openblas_threads()
-    if blas is None:
+    before = None if blas is None else blas[0]()
+    if before in (None, 1):
         yield
         return
-    get, set_ = blas
-    before = get()
+    set_ = blas[1]
     set_(1)
     try:
         yield

@@ -55,9 +55,9 @@ class CheckResult:
 
 
 # Seconds any check may take.  In 30 in-process runs (6 processes) on a
-# 2-vCPU VM the slowest, kernel-equality, took 0.17-0.29 s, with
+# 2-vCPU VM the slowest, kernel-equality, took 0.16-0.29 s, with
 # exponential-sum-bound next at 0.11-0.20 s and charsum-oracle at
-# 0.03-0.07 s; periodic-bound took 0.009-0.019 s.  The direct kernel's
+# 0.016-0.033 s; periodic-bound took 0.009-0.017 s.  The direct kernel's
 # matrix products run on one OpenBLAS thread, so a neighbour that keeps
 # BLAS threads busy no longer stalls kernel-equality.
 CHECK_BUDGET_S = 2.0
@@ -148,15 +148,16 @@ def check_hj_specialization() -> tuple[bool, str]:
 @_gate("charsum-oracle")
 def check_charsum_oracle() -> tuple[bool, str]:
     """Quadruple character sum equals the autocorrelation norm exactly,
-    at every length t <= 2p: one prefix pass per (p, r) and one stacked
-    norm call per (p, t); the first mismatch is reported in (r, t) order."""
+    at every length t <= 2p: one prefix pass and one row per (p, r), one
+    norm call per (p, t) on the row prefixes; first mismatch in (r, t) order."""
     checked = 0
     for p in primes_in(3, 13):
-        sums = np.array([_char_sum_l4_prefixes(FeketeSpec(p, r, 2 * p)) for r in range(p)])
+        specs = [FeketeSpec(p, r, 2 * p) for r in range(p)]
+        sums = np.array([_char_sum_l4_prefixes(spec) for spec in specs])
+        rows = np.array([fekete_coeffs(spec) for spec in specs])
         norms = np.empty_like(sums)
         for t in range(1, 2 * p + 1):
-            rows = [fekete_coeffs(FeketeSpec(p, r, t)) for r in range(p)]
-            norms[:, t - 1] = _l4_rows(rows)
+            norms[:, t - 1] = _l4_rows(rows[:, :t])
         bad = np.flatnonzero(sums != norms)
         if bad.size:
             r, t = divmod(int(bad[0]), 2 * p)
@@ -251,18 +252,18 @@ def check_exponential_sum_bound() -> tuple[bool, str]:
 def check_periodic_bound() -> tuple[bool, str]:
     """Every m-periodic sign sequence (m <= 6, t <= 24) meets the floor;
     the all-ones sequence attains it at m = 1.  One stacked norm call per
-    (m, t) covers every pattern; the first failure is reported in
-    (pattern, t) order."""
+    (m, t) covers a prefix of every pattern's 24-long extension; the first
+    failure is reported in (pattern, t) order."""
     checked = 0
     for m in range(1, 7):
-        patterns = np.array(list(itertools.product((-1, 1), repeat=m)))
-        ok = np.empty((len(patterns), 24), dtype=bool)
+        rows = np.tile(list(itertools.product((-1, 1), repeat=m)), -(-24 // m))
+        ok = np.empty((len(rows), 24), dtype=bool)
         for t in range(1, 25):
-            ok[:, t - 1] = _l4_rows(patterns[:, np.arange(t) % m]) >= periodic_lower_bound(t, m)
+            ok[:, t - 1] = _l4_rows(rows[:, :t]) >= periodic_lower_bound(t, m)
         bad = np.flatnonzero(~ok)
         if bad.size:
             i, j = divmod(int(bad[0]), 24)
-            return False, f"floor broken m={m} t={j + 1} {tuple(patterns[i].tolist())}"
+            return False, f"floor broken m={m} t={j + 1} {tuple(rows[i, :m].tolist())}"
         checked += ok.size
     for t in range(1, 25):
         if l4_norm_pow4([1] * t) != periodic_lower_bound(t, 1):

@@ -178,6 +178,20 @@ def test_charsum_check_reports_its_first_mismatch_in_rotation_then_length_order(
     assert result.detail == "mismatch at p=7 r=2 t=9"
 
 
+def test_charsum_check_builds_one_row_per_prime_and_rotation(monkeypatch):
+    real, seen = suites.fekete_coeffs, []
+
+    def spy(spec):
+        seen.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(suites, "fekete_coeffs", spy)
+    assert suites.check_charsum_oracle().passed
+    # every length t <= 2p is a prefix of the row of length 2p
+    assert len(seen) == 3 + 5 + 7 + 11 + 13 == 39
+    assert {spec.t for spec in seen} == {2 * spec.p for spec in seen}
+
+
 def test_decomposition_check_decomposes_each_grid_entry_once(monkeypatch):
     real, seen = suites.five_term_decomposition, []
 

@@ -31,7 +31,7 @@ from feketelab.sequences import (
     _sum_squares,
     _window_sum_sq,
 )
-from feketelab.characters import legendre_table
+from feketelab.characters import legendre, legendre_table
 from feketelab.primality import primes_in
 
 
@@ -111,6 +111,31 @@ def test_fekete_coeffs_rotation_is_mod_p():
 def test_fekete_coeffs_periodic_extension():
     long = fekete_coeffs(FeketeSpec(5, 2, 12))
     assert (long[:5] == long[5:10]).all()
+
+
+def test_fekete_coeffs_is_the_rotated_symbol_at_every_rotation_and_length():
+    for p in primes_in(3, 13):
+        for r in range(-p, 2 * p):
+            symbols = [legendre(j + r, p) for j in range(3 * p + 1)]
+            for t in range(1, 3 * p + 2):
+                f = fekete_coeffs(FeketeSpec(p, r, t))
+                assert f.dtype == np.int8 and not f.flags.writeable
+                assert f.tolist() == symbols[:t], (p, r, t)
+
+
+def test_fekete_coeffs_repeats_its_period_without_a_copy_per_period():
+    # the row is a slice of one tiled buffer of fewer than t + 2p bytes
+    spec = FeketeSpec(3, 1, 2**22)
+    fekete_coeffs(spec)  # builds and caches the Legendre table
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = fekete_coeffs(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f[:7].tolist() == [1, -1, 0, 1, -1, 0, 1]
+    assert peak < 2 * spec.t
 
 
 @pytest.mark.parametrize(
@@ -631,6 +656,37 @@ def test_direct_kernel_runs_numpys_openblas_on_one_thread(monkeypatch):
     assert (autocorrelation_naive(seq) == autocorrelation_fast(seq)).all()
     assert inside and set(inside) == {1}
     assert get() == before
+
+
+def test_overlapping_direct_kernel_calls_restore_the_blas_thread_count():
+    blas = sequences._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, set_ = blas
+    start = get()
+    # a count of 1 would leave every window nothing to change
+    found = max(start, 2)
+    seq = np.random.RandomState(73).choice(np.array([-1, 1], dtype=np.int8), size=2**14)
+    expected = autocorrelation_fast(seq)
+    set_(found)
+    try:
+        for trial in range(5):
+            barrier, exact = threading.Barrier(3), []
+
+            def run():
+                barrier.wait(timeout=60)
+                exact.extend((autocorrelation_naive(seq) == expected).all() for _ in range(2))
+
+            threads = [threading.Thread(target=run) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert exact == [True] * 6
+            assert get() == found, trial
+    finally:
+        set_(start)
 
 
 def test_direct_kernel_is_exact_when_no_openblas_is_found(monkeypatch, tmp_path):
