@@ -43,6 +43,11 @@ LEGENDRE_TABLE_MAX_P = 2**28 // _TABLE_BYTES_PER_RESIDUE
 # Measured: 48 calls and 12 misses per round of four 12-prime scan ladders
 # (each prime once per ladder, 12 calls apart); 1575 and 60 per `verify
 # --suite all`.  16 tables of p bytes: 16 MB at p ~ 1e6, 860 MB at the cap.
+# A scan's primes are all distinct, so it reuses none of its tables: `scan
+# --R 0.1 --T 0.01 --pmin 10000000 --pmax 50000000 --count 16` peaks at 627
+# MiB of RSS on a 2-vCPU VM against 332 MiB with maxsize=1 (same CSV).  No
+# cache at all made a norm-ladder op 7.8% slower (0.849 -> 0.915 s), so the
+# fix is a bound in bytes (ROADMAP item 9), not a smaller maxsize.
 @lru_cache(maxsize=16)
 def legendre_table(p: int) -> np.ndarray:
     """Read-only int8 table of (x|p) for 0 <= x < p.

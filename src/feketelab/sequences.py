@@ -145,30 +145,27 @@ def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None.
 
     Looked up once, at the first tiled call, not at import: the
-    scipy_openblas_{get,set}_num_threads64_ symbols of the
-    libscipy_openblas library that numpy's wheels bundle in numpy.libs,
-    opened with RTLD_NOLOAD, so only a library this process has already
-    loaded is used.  Any other BLAS (MKL, Accelerate, a system BLAS), or
-    a platform with no RTLD_NOLOAD, gives None.
+    scipy_openblas_{get,set}_num_threads64_ symbols, read from a handle on
+    numpy._core._multiarray_umath (the module whose matmul the tiles call)
+    opened with RTLD_NOLOAD.  dlsym on that handle also searches the
+    libraries the module links, so this finds the OpenBLAS numpy itself
+    linked, wherever its build keeps it.  Any other BLAS (MKL, Accelerate,
+    a system BLAS), or a platform with no RTLD_NOLOAD, gives None.
     """
     import ctypes
-    import glob
 
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
         return None
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(path, mode=noload)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-        return get, set_
-    return None
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__, mode=noload)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
 
 
 @contextlib.contextmanager

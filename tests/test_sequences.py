@@ -1,3 +1,4 @@
+import _ctypes
 import gc
 import math
 import multiprocessing
@@ -618,16 +619,18 @@ def fake_blas(count):
     return (lambda: state[0], set_), sets
 
 
-def test_direct_kernel_restores_the_blas_thread_count(monkeypatch):
-    blas, sets = fake_blas(2)
+# a window that finds the count at 1 sets nothing
+@pytest.mark.parametrize("count, window", [(2, [1, 2]), (1, [])], ids=["count-2", "count-1"])
+def test_direct_kernel_restores_the_blas_thread_count(monkeypatch, count, window):
+    blas, sets = fake_blas(count)
     monkeypatch.setattr(sequences, "_openblas_threads", lambda: blas)
     seq = np.random.RandomState(61).choice([-1, 1], size=2000)
     expected = autocorrelation_fast(seq)
     assert (autocorrelation_naive(seq) == expected).all()
-    assert sets == [1, 2]
+    assert sets == window
     # the leaf runs no matrix product and leaves the count alone
     autocorrelation_naive(seq[: sequences._DIRECT_LEAF])
-    assert sets == [1, 2]
+    assert sets == window
 
     def failing_matmul(*args, **kwargs):
         raise RuntimeError("tile failed")
@@ -635,8 +638,17 @@ def test_direct_kernel_restores_the_blas_thread_count(monkeypatch):
     monkeypatch.setattr(np, "matmul", failing_matmul)
     with pytest.raises(RuntimeError, match="tile failed"):
         autocorrelation_naive(seq)
-    assert sets == [1, 2, 1, 2]
-    assert blas[0]() == 2
+    assert sets == window * 2
+    assert blas[0]() == count
+
+
+def test_numpys_bundled_openblas_is_found():
+    # the tests below skip when the lookup finds nothing; on a numpy built
+    # with its bundled OpenBLAS that would hide a broken lookup
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if name != "scipy-openblas" or not hasattr(os, "RTLD_NOLOAD"):
+        pytest.skip(f"numpy's BLAS is {name}, not its bundled OpenBLAS, or no RTLD_NOLOAD")
+    assert sequences._openblas_threads.__wrapped__() is not None
 
 
 def test_direct_kernel_runs_numpys_openblas_on_one_thread(monkeypatch):
@@ -689,9 +701,10 @@ def test_overlapping_direct_kernel_calls_restore_the_blas_thread_count():
         set_(start)
 
 
-def test_direct_kernel_is_exact_when_no_openblas_is_found(monkeypatch, tmp_path):
-    # a numpy with no bundled OpenBLAS beside it: the lookup finds nothing
-    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+def test_direct_kernel_is_exact_when_no_openblas_is_found(monkeypatch):
+    # numpy's extension as a loaded library that links no OpenBLAS: the
+    # lookup finds nothing
+    monkeypatch.setattr(np._core._multiarray_umath, "__file__", _ctypes.__file__)
     assert sequences._openblas_threads.__wrapped__() is None
     monkeypatch.setattr(sequences, "_openblas_threads", lambda: None)
     rng = np.random.RandomState(71)
