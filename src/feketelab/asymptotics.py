@@ -298,10 +298,12 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
 
     Exhaustive scan of the grid of D at the given step (required <= 1/64
     so the scan cannot miss the single smooth basin, and >= 2**-12 so the
-    scan stays bounded), then the same scan, repeated on a 17 x 17 grid
-    over a box of +-window around the best point so far: the window
-    starts at two grid steps and shrinks 4x per pass until it is no
-    larger than max(refine_tol, 1e-13).  refine_tol must be positive and
+    scan stays bounded) by _grid_scan, then _refine from its best point:
+    the same scan, repeated on a 17 x 17 grid over a box of +-window
+    around the best point so far; the window starts at two grid steps and
+    shrinks 4x per pass until it is no larger than max(refine_tol,
+    1e-13).  The verify gate runs the two halves itself, to read the
+    scan's minimum without a second scan.  refine_tol must be positive and
     finite (a NaN or infinite tolerance would skip the refinement); the
     1e-13 floor keeps a tiny one from shrinking the scan step to zero.
     Both arguments are computed in float64.  Returns (R*, T*, u*) as
@@ -318,13 +320,20 @@ def minimize_u(grid_step: float, refine_tol: float) -> tuple[float, float, float
         raise ValueError(
             f"refinement tolerance must be positive and finite, got {refine_tol}"
         )
+    return _refine(_grid_scan(grid_step), grid_step, refine_tol)
 
+
+def _refine(
+    scan: tuple[float, float, float], grid_step: float, refine_tol: float
+) -> tuple[float, float, float]:
+    """(R*, T*, u*) by minimize_u's refinement of the (u, R, T) that the
+    scan of D at grid_step gave, for validated arguments."""
     # At the basin the Hessian of u is about [[14.3, 7.15], [7.15, 8.24]],
     # condition number kappa ~ 5.4.  A grid point lies within h/sqrt(2) of
     # the minimizer, so the grid argmin at step h lies within
     # h sqrt(kappa/2) ~ 1.65h of it, and the next box of +-2h (at step h/4)
     # always contains it.
-    u, R, T = _grid_scan(grid_step)
+    u, R, T = scan
     window = 2.0 * grid_step
     while window > max(refine_tol, 1e-13):
         u, R, T = _grid_scan(

@@ -41,8 +41,9 @@ LEGENDRE_TABLE_MAX_P = 2**28 // _TABLE_BYTES_PER_RESIDUE
 
 
 # Measured: 48 calls and 12 misses per round of four 12-prime scan ladders
-# (each prime once per ladder, 12 calls apart); 1575 and 60 per `verify
-# --suite all`.  16 tables of p bytes: 16 MB at p ~ 1e6, 860 MB at the cap.
+# (each prime once per ladder, 12 calls apart); 441 and 60 per `verify
+# --suite all`, where gauss-identity makes one call per prime (25, not one
+# per residue, 1159).  16 tables of p bytes: 16 MB at p ~ 1e6, 860 MB at the cap.
 # A scan's primes are all distinct, so it reuses none of its tables: `scan
 # --R 0.1 --T 0.01 --pmin 10000000 --pmax 50000000 --count 16` peaks at 627
 # MiB of RSS on a 2-vCPU VM against 332 MiB with maxsize=1 (same CSV).  No
@@ -73,8 +74,9 @@ def legendre_table(p: int) -> np.ndarray:
     return table
 
 
-# Residues per block of gauss_sum_residual's sum: its temporaries, about
-# 36 bytes per residue, stay near 2.5 MiB whatever p is.
+# Elements per temporary of the Gauss sums: a block of residues k times the
+# indices j.  One j takes blocks of 2**16 residues, and its temporaries,
+# about 36 bytes per residue, stay near 2.5 MiB whatever p is.
 _GAUSS_BLOCK = 2**16
 
 
@@ -85,17 +87,33 @@ def gauss_sum_residual(p: int, j: int) -> float:
     sqrt(p) (j|p)| in double-precision complex arithmetic, summing k in
     blocks of _GAUSS_BLOCK residues.  The sum of p unit-magnitude terms
     carries O(p * ulp) rounding error, so callers should compare against
-    a tolerance proportional to p.
+    a tolerance proportional to p.  This is the one-j case of
+    _gauss_sum_residuals, which the verify gate runs on every j < p at
+    once.
     """
     j = as_int(j, "j")
+    p = require_odd_prime(p)
+    return float(_gauss_sum_residuals(p, np.array([j % p]))[0])
+
+
+def _gauss_sum_residuals(p: int, js: np.ndarray) -> np.ndarray:
+    """gauss_sum_residual(p, j) for each residue j of the int64 array js.
+
+    k runs in blocks of _GAUSS_BLOCK // js.size residues (at least one), so
+    each temporary holds at most max(_GAUSS_BLOCK, js.size) elements.  The
+    modulus is np.hypot of the parts, as Python's abs of a complex takes it
+    (numpy's complex abs can differ in the last bit).
+    """
     table = legendre_table(p)
-    lhs = 0j
-    for lo in range(0, p, _GAUSS_BLOCK):
-        k = np.arange(lo, min(p, lo + _GAUSS_BLOCK))
-        lhs += complex(np.sum(np.exp(2j * np.pi * (j % p) * k / p) * table[lo : lo + k.size]))
+    step = max(1, _GAUSS_BLOCK // js.size)
+    angles = 2j * np.pi * js[:, None]
+    lhs = np.zeros(js.size, dtype=np.complex128)
+    for lo in range(0, p, step):
+        k = np.arange(lo, min(p, lo + step))
+        lhs += np.sum(np.exp(angles * k / p) * table[lo : lo + k.size], axis=1)
     quarter_turns = ((p - 1) // 2) ** 2 % 4
-    rhs = 1j**quarter_turns * math.sqrt(p) * int(table[j % p])
-    return abs(lhs - rhs)
+    d = lhs - 1j**quarter_turns * math.sqrt(p) * table[js]
+    return np.hypot(d.real, d.imag)
 
 
 class QuarticSumResult(NamedTuple):

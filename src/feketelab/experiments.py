@@ -101,24 +101,60 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     (Z/nZ)^3, so G is the sum of the DFT's magnitudes.  The counts are
     real, so the DFT at -k mirrors the one at k: rfftn keeps the planes
     0 <= c <= n/2 of the last axis, and the planes strictly inside that
-    range stand for themselves and their mirror images.
+    range stand for themselves and their mirror images.  The counts are
+    _lemma_counts' running counts at t; the verify gate takes G at every
+    length up to 32 from one such run per n (_lemma_bounds).
     """
     n, t = as_int(n, "n"), as_int(t, "t")
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
     if not 1 <= t <= 32:
         raise ValueError(f"need 1 <= t <= 32, got t={t}")
+    *_, counts = _lemma_counts(n, t)
+    return _lemma_bound(counts, n, t)
+
+
+def _lemma_counts(n: int, t_max: int):
+    """Yield, for t = 1 .. t_max, the counts by residue mod n of the triples
+    (j2, j3, j4) that technical_lemma_check counts at length t, as one flat
+    int64 array of n^3 entries, updated in place from one t to the next.
+
+    A triple counts at every length above the largest index of its
+    quadruple, as in sequences._char_sum_l4_prefixes.  So the triples of
+    t_max are built once and sorted by that index, and each length adds
+    the triples whose largest index is t - 1.
+    """
     # int16 holds j3 + j4 - j2 and the flat residue index below n^3 <= 13824
-    j = np.arange(t, dtype=np.int16)
+    j = np.arange(t_max, dtype=np.int16)
     j2, j3, j4 = j[:, None, None], j[None, :, None], j[None, None, :]
     j1 = j3 + j4 - j2
-    residue = ((j2 % n) * n + j3 % n) * n + j4 % n
-    counts = np.bincount(residue[(j1 >= 0) & (j1 < t)], minlength=n**3)
+    inside = (j1 >= 0) & (j1 < t_max)
+    largest = np.maximum(np.maximum(j1, j2), np.maximum(j3, j4))[inside]
+    order = np.argsort(largest, kind="stable")
+    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside][order]
+    ends = np.searchsorted(largest[order], np.arange(1, t_max + 1))
+    counts = np.zeros(n**3, dtype=np.int64)
+    start = 0
+    for end in ends.tolist():
+        counts += np.bincount(residue[start:end], minlength=n**3)
+        start = end
+        yield counts
+
+
+def _lemma_bound(counts: np.ndarray, n: int, t: int) -> ExponentialSumBound:
+    """G from the n^3 residue counts at length t, against its bound."""
     planes = np.abs(np.fft.rfftn(counts.reshape(n, n, n))).sum(axis=(0, 1))
     # Plane 0, and plane n/2 for even n, are their own mirror images.
     G = float(2.0 * planes.sum() - planes[0] - (planes[-1] if n % 2 == 0 else 0.0))
     bound = 64.0 * max(n, t) ** 3 * (1.0 + math.log(n)) ** 3
     return ExponentialSumBound(G=G, bound=bound, ok=G <= bound)
+
+
+def _lemma_bounds(n: int, t_max: int):
+    """technical_lemma_check(n, t) for t = 1 .. t_max, in order, from one
+    run of _lemma_counts: one rfftn per length."""
+    for t, counts in enumerate(_lemma_counts(n, t_max), 1):
+        yield _lemma_bound(counts, n, t)
 
 
 @dataclass(frozen=True)

@@ -435,8 +435,8 @@ def autocorrelation_fast(seq) -> np.ndarray:
     integer (residual >= 1e-3 or NaN).  Below 2**14 coefficients: one
     spectral convolution of the sequence with its reversal, zero-padded
     to the smallest n = 2^a 3^b 5^c >= 2t-1, by _short_correlation, a
-    body over the last axis that _l4_rows runs on a whole stack of
-    sequences at once; here it gets one.  From 2**14 up the sequence
+    body over the last axis that _autocorrelation_rows runs on a whole
+    stack of sequences at once; here it gets one.  From 2**14 up the sequence
     is cut into four pieces P_0..P_3 of q = ceil(t/4) coefficients (the
     last one shorter), each transformed at the smallest 5-smooth
     m >= 2q - 1, about n / 4.  A pair (j, j+u) has j in P_i and j+u in
@@ -495,30 +495,43 @@ def autocorrelation_fast(seq) -> np.ndarray:
 # residues stays below 2**62, inside int64.
 _CERT_MODULUS = 2**31 - 1
 
-# Powers z^0 .. z^(_CERT_BLOCK - 1) are tabulated once per point; a row of
-# _CERT_BLOCK terms, each below 2**31, sums below 2**43.
+# Powers z^0 .. z^(_CERT_BLOCK - 1) are tabulated once per point.  A row of
+# _CERT_BLOCK products of an entry of magnitude at most 2**13 with a power
+# below 2**31 sums below 2**56, so each row is reduced once, after its sum.
 _CERT_BLOCK = 2**12
 
 
-def _residue_rows(values: np.ndarray) -> np.ndarray:
-    """values as signed int64 rows of _CERT_BLOCK, zero-padded; as |v| <= t
-    < Q / 2, each product that _eval_mod reduces (numpy %) is below 2**61."""
+def _residue_rows(values: np.ndarray) -> tuple:
+    """values as signed int64 rows of _CERT_BLOCK, zero-padded, in the parts
+    that _eval_mod multiplies by the powers with no reduction.
+
+    Entries below 2**12 in magnitude, such as a sequence's -1, 0 and 1, are
+    one part.  Larger ones, |v| <= t <= 2**25, split as hi * 2**12 + lo with
+    0 <= lo < 2**12 and |hi| <= 2**13, into the parts (hi, lo).
+    """
     rows = np.zeros(-(-values.size // _CERT_BLOCK) * _CERT_BLOCK, dtype=np.int64)
     rows[: values.size] = values
-    return rows.reshape(-1, _CERT_BLOCK)
+    rows = rows.reshape(-1, _CERT_BLOCK)
+    if max(rows.max(), -rows.min()) < _CERT_BLOCK:
+        return (rows,)
+    lo = rows & (_CERT_BLOCK - 1)
+    rows >>= 12
+    return rows, lo
 
 
-def _eval_mod(rows: np.ndarray, z: int) -> int:
-    """sum_j v_j z^j mod _CERT_MODULUS for the residue rows of a vector v."""
+def _eval_mod(parts: tuple, z: int) -> int:
+    """sum_j v_j z^j mod _CERT_MODULUS for the residue rows of a vector v:
+    one int64 product of each part with the powers, reduced once per row."""
     Q = _CERT_MODULUS
     powers = np.ones(_CERT_BLOCK, dtype=np.int64)
     n = 1
     while n < _CERT_BLOCK:
         powers[n : 2 * n] = powers[:n] * pow(z, n, Q) % Q
         n *= 2
-    terms = rows * powers
-    terms %= Q
-    row_sums = terms.sum(axis=1) % Q
+    # below 2**43 + 2**56: the reduced sums so far, times 2**12, plus a part's
+    row_sums = 0
+    for part in parts:
+        row_sums = (row_sums * _CERT_BLOCK + part @ powers) % Q
     lead = pow(z, _CERT_BLOCK, Q)
     value = 0
     for row_sum in reversed(row_sums.tolist()):
@@ -597,20 +610,29 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     return 2 * int(_sum_squares(c)) - int(c[0]) ** 2
 
 
-def _l4_rows(rows) -> np.ndarray:
-    """l4_norm_pow4 of each row of a 2-d stack of sequences shorter than
-    2**14, as int64, from one spectral call.
+def _autocorrelation_rows(rows) -> np.ndarray:
+    """autocorrelation_fast of each row of a 2-d stack of sequences shorter
+    than 2**14, as an int64 stack, from one spectral call.
 
-    The rows pass _coefficients' rules, as a stack; each is correlated by
-    autocorrelation_fast's short path and its squares summed as
-    l4_norm_pow4 sums them.  A row's norm is at most 2 t^3 < 2**43, exact
-    in int64.
+    The rows pass _coefficients' rules, as a stack, and are correlated by
+    autocorrelation_fast's short path, _short_correlation, all at once.
     """
     f = _coefficients(rows, ndim=2)
     t = f.shape[-1]
     if t >= _SPLIT_MIN:
         raise ValueError(f"stacked rows must be shorter than 2**14 = {_SPLIT_MIN}, got {t}")
-    c = _short_correlation(np.ascontiguousarray(f))
+    return _short_correlation(np.ascontiguousarray(f))
+
+
+def _l4_rows(rows) -> np.ndarray:
+    """l4_norm_pow4 of each row of a 2-d stack of sequences shorter than
+    2**14, as int64, from one spectral call.
+
+    The rows are correlated by _autocorrelation_rows and their squares
+    summed as l4_norm_pow4 sums them.  A row's norm is at most 2 t^3 <
+    2**43, exact in int64.
+    """
+    c = _autocorrelation_rows(rows)
     return 2 * _sum_squares(c) - c[:, 0] ** 2
 
 

@@ -21,15 +21,15 @@ import numpy as np
 from .asymptotics import (
     Region,
     _grid_scan,
+    _refine,
     hj_specialization,
-    minimize_u,
     ratio_limit_u,
     record_constants,
     region_classify,
     u4_closed_form,
 )
-from .characters import gauss_sum_residual, quartic_char_sum
-from .experiments import five_term_decomposition, run_convergence, technical_lemma_check
+from .characters import _gauss_sum_residuals, quartic_char_sum
+from .experiments import _lemma_bounds, five_term_decomposition, run_convergence
 from .primality import primes_in
 from .sequences import (
     FeketeSpec,
@@ -38,6 +38,7 @@ from .sequences import (
     fekete_coeffs,
     l4_norm_pow4,
     periodic_lower_bound,
+    _autocorrelation_rows,
     _char_sum_l4_prefixes,
     _l4_rows,
     _window_sum_sq,
@@ -55,11 +56,12 @@ class CheckResult:
 
 
 # Seconds any check may take.  In 30 in-process runs (6 processes) on a
-# 2-vCPU VM the slowest, kernel-equality, took 0.16-0.29 s, with
-# exponential-sum-bound next at 0.11-0.20 s and charsum-oracle at
-# 0.016-0.033 s; periodic-bound took 0.009-0.017 s.  The direct kernel's
-# matrix products run on one OpenBLAS thread, so a neighbour that keeps
-# BLAS threads busy no longer stalls kernel-equality.
+# 2-vCPU VM the slowest, kernel-equality, took 0.12-0.18 s, with
+# exponential-sum-bound next at 0.07-0.11 s and weil-square-cases at
+# 0.021-0.029 s; gauss-identity took 0.003-0.006 s and global-optimizer
+# 0.003-0.005 s.  The direct kernel's matrix products run on one OpenBLAS
+# thread, so a neighbour that keeps BLAS threads busy no longer stalls
+# kernel-equality.
 CHECK_BUDGET_S = 2.0
 
 # Every check, in declaration order: the `all` suite.
@@ -116,11 +118,13 @@ def check_minimum_consistency() -> tuple[bool, str]:
 
 @_gate("global-optimizer")
 def check_global_optimizer() -> tuple[bool, str]:
-    """Grid + refinement recovers (R0, T0, c); no grid point undercuts c."""
+    """Grid + refinement recovers (R0, T0, c); no grid point undercuts c.
+    minimize_u's two halves, with the one scan of D read by both."""
     rc = record_constants()
     step = 1 / 512
-    r_star, t_star, u_star = minimize_u(step, 1e-9)
-    grid_min = _grid_scan(step)[0]
+    scan = _grid_scan(step)
+    r_star, t_star, u_star = _refine(scan, step, 1e-9)
+    grid_min = scan[0]
     ok = (
         abs(u_star - rc.c) < 1e-8
         and abs(r_star - rc.R0) < 1e-6
@@ -225,22 +229,22 @@ def check_weil_square_cases() -> tuple[bool, str]:
 
 @_gate("gauss-identity")
 def check_gauss_identity() -> tuple[bool, str]:
-    """Character-sum residual below 1e-6 p for every p <= 101 and j."""
+    """Character-sum residual below 1e-6 p for every p <= 101 and j, every
+    j of one p from one blocked sum."""
     worst = 0.0
     for p in primes_in(3, 101):
-        for j in range(p):
-            worst = max(worst, gauss_sum_residual(p, j) / p)
+        worst = max(worst, float(_gauss_sum_residuals(p, np.arange(p)).max()) / p)
     return worst < 1e-6, f"max residual/p={worst:.2e}"
 
 
 @_gate("exponential-sum-bound")
 def check_exponential_sum_bound() -> tuple[bool, str]:
-    """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32."""
+    """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32: one running
+    count per n gives every length; first failure in (n, t) order."""
     worst = 0.0
     checked = 0
     for n in range(1, 25):
-        for t in range(1, 33):
-            res = technical_lemma_check(n, t)
+        for t, res in enumerate(_lemma_bounds(n, 32), 1):
             if not res.ok:
                 return False, f"G={res.G:.3e} > bound at n={n} t={t}"
             worst = max(worst, res.G / res.bound)
@@ -274,15 +278,24 @@ def check_periodic_bound() -> tuple[bool, str]:
 @_gate("kernel-equality")
 def check_kernels() -> tuple[bool, str]:
     """Spectral and direct autocorrelation agree exactly on 1000 random
-    sign sequences with lengths up to 2^14."""
+    sign sequences with lengths up to 2^14.  Each group of short lengths
+    is drawn as one (count, length) stack, which consumes the stream as
+    count draws of that length do, and correlated by one spectral call;
+    the long ones are drawn and correlated one at a time.  The first
+    mismatch is reported in draw order."""
     rng = np.random.RandomState(20260810)
-    lengths = [2] * 300 + [3] * 300 + [17] * 300 + [1024] * 80 + [2**14] * 20
     checked = 0
-    for length in lengths:
-        seq = rng.choice([-1, 1], size=length)
-        if not (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all():
-            return False, f"mismatch at length {length}"
-        checked += 1
+    for length, count in ((2, 300), (3, 300), (17, 300), (1024, 80), (2**14, 20)):
+        if length < 1024:
+            rows = rng.choice([-1, 1], size=(count, length))
+            pairs = zip(rows, _autocorrelation_rows(rows))
+        else:
+            rows = (rng.choice([-1, 1], size=length) for _ in range(count))
+            pairs = ((seq, autocorrelation_fast(seq)) for seq in rows)
+        for seq, fast in pairs:
+            if not (fast == autocorrelation_naive(seq)).all():
+                return False, f"mismatch at length {length}"
+            checked += 1
     return True, f"{checked} sequences identical"
 
 

@@ -9,9 +9,10 @@ command line.
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from feketelab import sequences, suites
+from feketelab import asymptotics, sequences, suites
 from feketelab.asymptotics import Region, normalize_R, record_constants
 from feketelab.suites import SUITES
 
@@ -72,8 +73,9 @@ BROKEN = [
         "D closed form broken at FeketeSpec(p=3, r=0, t=1)",
     ),
     (
-        suites.check_exponential_sum_bound, "technical_lemma_check",
-        lambda real: lambda n, t: real(n, t)._replace(ok=False), "G=1.000e+00 > bound at n=1 t=1",
+        suites.check_exponential_sum_bound, "_lemma_bounds",
+        lambda real: lambda n, t_max: (res._replace(ok=False) for res in real(n, t_max)),
+        "G=1.000e+00 > bound at n=1 t=1",
     ),
     (suites.check_periodic_bound, "periodic_lower_bound", _plus(1), "floor broken m=1 t=1 (-1,)"),
     (suites.check_periodic_bound, "periodic_lower_bound", _plus(-1), "all-ones equality broken t=1"),
@@ -219,6 +221,60 @@ def test_decomposition_check_catches_a_wrong_spectral_norm(monkeypatch):
     result = suites.check_decomposition()
     assert not result.passed
     assert result.detail == "identity broken at FeketeSpec(p=3, r=0, t=1)"
+
+
+def test_lemma_check_reports_its_first_failure_in_n_then_length_order(monkeypatch):
+    real = suites._lemma_bounds
+    broken_at = {(3, 20), (5, 2)}  # (5, 2) has the smaller t, (3, 20) the smaller n
+
+    def broken(n, t_max):
+        for t, res in enumerate(real(n, t_max), 1):
+            yield res._replace(ok=False) if (n, t) in broken_at else res
+
+    monkeypatch.setattr(suites, "_lemma_bounds", broken)
+    result = suites.check_exponential_sum_bound()
+    assert not result.passed
+    assert result.detail.endswith("> bound at n=3 t=20")
+
+
+def test_kernel_check_draws_each_short_group_as_its_sequences_one_by_one():
+    stacked, one_by_one = np.random.RandomState(20260810), np.random.RandomState(20260810)
+    for length in (2, 3, 17):
+        rows = stacked.choice([-1, 1], size=(300, length))
+        assert (rows == [one_by_one.choice([-1, 1], size=length) for _ in range(300)]).all()
+    # the long sequences after them are drawn from the same stream position
+    assert (stacked.choice([-1, 1], size=1024) == one_by_one.choice([-1, 1], size=1024)).all()
+
+
+def test_kernel_check_reports_a_mismatch_in_a_stacked_group(monkeypatch):
+    real = suites._autocorrelation_rows
+
+    def off_at_length_17(rows):
+        c = real(rows).copy()
+        if c.shape[-1] == 17:
+            c[150, 3] += 1
+        return c
+
+    monkeypatch.setattr(suites, "_autocorrelation_rows", off_at_length_17)
+    result = suites.check_kernels()
+    assert not result.passed
+    assert result.detail == "mismatch at length 17"
+
+
+def test_optimizer_check_scans_the_whole_box_once(monkeypatch):
+    real, boxes = asymptotics._grid_scan, []
+
+    def spy(step, *box):
+        boxes.append(box)
+        return real(step, *box)
+
+    monkeypatch.setattr(asymptotics, "_grid_scan", spy)
+    monkeypatch.setattr(suites, "_grid_scan", spy)
+    assert suites.check_global_optimizer().passed
+    # the scan of D, then one scan per refinement box
+    whole = [box for box in boxes if box in ((), ((0.0, 0.5), (0.5, 1.5)))]
+    assert whole == [()] == boxes[:1]
+    assert len(boxes) > 1
 
 
 @pytest.mark.parametrize("case,check", GATE.items(), ids=list(GATE))

@@ -7,6 +7,7 @@ import pytest
 
 from feketelab import characters
 from feketelab.characters import (
+    _gauss_sum_residuals,
     gauss_sum_residual,
     is_square_polynomial,
     legendre,
@@ -189,6 +190,41 @@ def test_gauss_sum_residual_sums_in_blocks():
         tracemalloc.stop()
     assert residual < 1e-6 * p
     assert peak < 4 * 2**20
+
+
+def gauss_sum_residual_one_by_one(p, j):
+    """Oracle: the one-j body, summed into a Python complex block by block."""
+    table = legendre_table(p)
+    lhs = 0j
+    for lo in range(0, p, 2**16):
+        k = np.arange(lo, min(p, lo + 2**16))
+        lhs += complex(np.sum(np.exp(2j * np.pi * (j % p) * k / p) * table[lo : lo + k.size]))
+    quarter_turns = ((p - 1) // 2) ** 2 % 4
+    return abs(lhs - 1j**quarter_turns * math.sqrt(p) * int(table[j % p]))
+
+
+def test_gauss_sum_residuals_of_one_prime_equal_the_one_j_sums_bit_for_bit():
+    for p in primes_in(3, 101):
+        residuals = _gauss_sum_residuals(p, np.arange(p))
+        assert residuals.tolist() == [gauss_sum_residual(p, j) for j in range(p)], p
+        assert residuals.tolist() == [gauss_sum_residual_one_by_one(p, j) for j in range(p)], p
+
+
+def test_gauss_sum_residual_keeps_its_blocks_above_one_block():
+    p = 1_000_003
+    for j in (0, 1, 5, p // 2, p - 1, -3, p + 5):
+        assert gauss_sum_residual(p, j) == gauss_sum_residual_one_by_one(p, j), j
+
+
+def test_gauss_sum_residuals_of_many_js_sum_over_several_blocks(monkeypatch):
+    # 64 indices at p = 1009 with a block of 1024 elements: 16 residues a block
+    monkeypatch.setattr(characters, "_GAUSS_BLOCK", 1024)
+    js = np.arange(0, 1009, 16)
+    assert js.size == 64
+    residuals = _gauss_sum_residuals(1009, js)
+    assert residuals.shape == (64,)
+    assert (residuals < 1e-6 * 1009).all()
+    assert residuals == pytest.approx([gauss_sum_residual_one_by_one(1009, j) for j in js], abs=1e-9)
 
 
 def quartic_sum_bruteforce(a, b, c, p):

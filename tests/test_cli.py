@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -462,7 +463,7 @@ def test_verify_suite_regions(capsys):
 
 
 def test_verify_exits_1_and_counts_the_failed_checks(capsys, monkeypatch):
-    monkeypatch.setattr(suites, "gauss_sum_residual", lambda p, j: float(p))
+    monkeypatch.setattr(suites, "_gauss_sum_residuals", lambda p, js: np.full(js.size, float(p)))
     code, out, err = run(capsys, "verify", "--suite", "all")
     assert code == 1
     lines = out.splitlines()

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from feketelab import experiments
 from feketelab.asymptotics import ratio_limit_u
 from feketelab.experiments import (
+    _lemma_bounds,
+    _lemma_counts,
     _round_half_away,
     export_records,
     five_term_decomposition,
@@ -153,6 +155,32 @@ def test_technical_lemma_half_spectrum_equals_the_full_fftn(t):
         assert technical_lemma_check(n, t).G == pytest.approx(
             full_spectrum_lemma_sum(n, t), rel=1e-12
         )
+
+
+def lemma_counts_by_enumeration(n, t):
+    """Oracle: the residue counts of every triple (j2, j3, j4) in [0, t)^3
+    with j1 = j3 + j4 - j2 in [0, t), enumerated at length t itself."""
+    j2, j3, j4 = np.indices((t, t, t)).reshape(3, -1)
+    j1 = j3 + j4 - j2
+    keep = (j1 >= 0) & (j1 < t)
+    counts = np.zeros(n**3, dtype=np.int64)
+    np.add.at(counts, ((j2[keep] % n) * n + j3[keep] % n) * n + j4[keep] % n, 1)
+    return counts
+
+
+def test_lemma_running_counts_equal_a_direct_enumeration():
+    for n in range(1, 25):
+        for t, counts in enumerate(_lemma_counts(n, 32), 1):
+            expected = lemma_counts_by_enumeration(n, t)
+            assert (counts == expected).all(), (n, t)
+            # every quadruple with j1 + j2 = j3 + j4 in [0, t)
+            assert expected.sum() == (2 * t**3 + t) // 3
+        assert t == 32
+
+
+def test_lemma_bounds_are_the_checks_at_every_length():
+    for n in (1, 2, 7, 24):
+        assert list(_lemma_bounds(n, 32)) == [technical_lemma_check(n, t) for t in range(1, 33)]
 
 
 def test_technical_lemma_rejects_out_of_range():
