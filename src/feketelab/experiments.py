@@ -101,17 +101,32 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     (Z/nZ)^3, so G is the sum of the DFT's magnitudes.  The counts are
     real, so the DFT at -k mirrors the one at k: rfftn keeps the planes
     0 <= c <= n/2 of the last axis, and the planes strictly inside that
-    range stand for themselves and their mirror images.  The counts are
-    _lemma_counts' running counts at t; the verify gate takes G at every
-    length up to 32 from one such run per n (_lemma_bounds).
+    range stand for themselves and their mirror images.  The triples come
+    from _lemma_triples, which the verify gate shares: it takes G at every
+    length up to 32 from one running count per n (_lemma_bounds).
     """
     n, t = as_int(n, "n"), as_int(t, "t")
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
     if not 1 <= t <= 32:
         raise ValueError(f"need 1 <= t <= 32, got t={t}")
-    *_, counts = _lemma_counts(n, t)
-    return _lemma_bound(counts, n, t)
+    *_, residue = _lemma_triples(n, t)
+    return _lemma_bound(np.bincount(residue, minlength=n**3), n, t)
+
+
+def _lemma_triples(n: int, t: int):
+    """The triples (j2, j3, j4) in [0, t)^3 with j1 = j3 + j4 - j2 in
+    [0, t): (j1, j2, j3, j4) broadcast over the cube, the mask of the
+    triples kept, and the kept triples' flat residue indices
+    ((j2 mod n) n + j3 mod n) n + j4 mod n.
+    """
+    # int16 holds j3 + j4 - j2 and the flat residue index below n^3 <= 13824
+    j = np.arange(t, dtype=np.int16)
+    j2, j3, j4 = j[:, None, None], j[None, :, None], j[None, None, :]
+    j1 = j3 + j4 - j2
+    inside = (j1 >= 0) & (j1 < t)
+    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside]
+    return (j1, j2, j3, j4), inside, residue
 
 
 def _lemma_counts(n: int, t_max: int):
@@ -124,14 +139,10 @@ def _lemma_counts(n: int, t_max: int):
     t_max are built once and sorted by that index, and each length adds
     the triples whose largest index is t - 1.
     """
-    # int16 holds j3 + j4 - j2 and the flat residue index below n^3 <= 13824
-    j = np.arange(t_max, dtype=np.int16)
-    j2, j3, j4 = j[:, None, None], j[None, :, None], j[None, None, :]
-    j1 = j3 + j4 - j2
-    inside = (j1 >= 0) & (j1 < t_max)
+    (j1, j2, j3, j4), inside, residue = _lemma_triples(n, t_max)
     largest = np.maximum(np.maximum(j1, j2), np.maximum(j3, j4))[inside]
     order = np.argsort(largest, kind="stable")
-    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside][order]
+    residue = residue[order]
     ends = np.searchsorted(largest[order], np.arange(1, t_max + 1))
     counts = np.zeros(n**3, dtype=np.int64)
     start = 0

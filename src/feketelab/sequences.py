@@ -495,43 +495,30 @@ def autocorrelation_fast(seq) -> np.ndarray:
 # residues stays below 2**62, inside int64.
 _CERT_MODULUS = 2**31 - 1
 
-# Powers z^0 .. z^(_CERT_BLOCK - 1) are tabulated once per point.  A row of
-# _CERT_BLOCK products of an entry of magnitude at most 2**13 with a power
-# below 2**31 sums below 2**56, so each row is reduced once, after its sum.
+# Powers z^0 .. z^(_CERT_BLOCK - 1) are tabulated once per point; a row of
+# _CERT_BLOCK terms, each below 2**31, sums below 2**43.
 _CERT_BLOCK = 2**12
 
 
-def _residue_rows(values: np.ndarray) -> tuple:
-    """values as signed int64 rows of _CERT_BLOCK, zero-padded, in the parts
-    that _eval_mod multiplies by the powers with no reduction.
-
-    Entries below 2**12 in magnitude, such as a sequence's -1, 0 and 1, are
-    one part.  Larger ones, |v| <= t <= 2**25, split as hi * 2**12 + lo with
-    0 <= lo < 2**12 and |hi| <= 2**13, into the parts (hi, lo).
-    """
+def _residue_rows(values: np.ndarray) -> np.ndarray:
+    """values as signed int64 rows of _CERT_BLOCK, zero-padded; as |v| <= t
+    < Q / 2, each product that _eval_mod reduces (numpy %) is below 2**61."""
     rows = np.zeros(-(-values.size // _CERT_BLOCK) * _CERT_BLOCK, dtype=np.int64)
     rows[: values.size] = values
-    rows = rows.reshape(-1, _CERT_BLOCK)
-    if max(rows.max(), -rows.min()) < _CERT_BLOCK:
-        return (rows,)
-    lo = rows & (_CERT_BLOCK - 1)
-    rows >>= 12
-    return rows, lo
+    return rows.reshape(-1, _CERT_BLOCK)
 
 
-def _eval_mod(parts: tuple, z: int) -> int:
-    """sum_j v_j z^j mod _CERT_MODULUS for the residue rows of a vector v:
-    one int64 product of each part with the powers, reduced once per row."""
+def _eval_mod(rows: np.ndarray, z: int) -> int:
+    """sum_j v_j z^j mod _CERT_MODULUS for the residue rows of a vector v."""
     Q = _CERT_MODULUS
     powers = np.ones(_CERT_BLOCK, dtype=np.int64)
     n = 1
     while n < _CERT_BLOCK:
         powers[n : 2 * n] = powers[:n] * pow(z, n, Q) % Q
         n *= 2
-    # below 2**43 + 2**56: the reduced sums so far, times 2**12, plus a part's
-    row_sums = 0
-    for part in parts:
-        row_sums = (row_sums * _CERT_BLOCK + part @ powers) % Q
+    terms = rows * powers
+    terms %= Q
+    row_sums = terms.sum(axis=1) % Q
     lead = pow(z, _CERT_BLOCK, Q)
     value = 0
     for row_sum in reversed(row_sums.tolist()):
