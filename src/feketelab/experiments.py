@@ -214,8 +214,9 @@ def run_convergence(
     For each prime the rotation and length round the exact products R*p
     and T*p half away from zero (length at least 1), so none overflows;
     the sequence is Littlewood-ized, and its exact fourth-power norm is
-    divided by t^2.  Records are ordered by p.  A top rung longer than
-    sequences.MAX_LENGTH raises ValueError before any rung runs.
+    divided by t^2.  The rungs run from the largest down, and the records
+    are ordered by p.  A top rung longer than sequences.MAX_LENGTH raises
+    ValueError before any rung runs.
     """
     # as asymptotics widens them, then as a Python float: Fraction takes no
     # numpy float32 or float16, and a str raises TypeError
@@ -228,8 +229,11 @@ def run_convergence(
         FeketeSpec(p, _round_half_away(R * p), max(1, _round_half_away(T * p)))
         for p in prime_ladder(p_lo, p_hi, count)
     ]
+    # Largest first (t grows with p), so the top rung sizes l4_norm_pow4's
+    # held workspace once for the whole ladder; the records are put back
+    # in order of p.
     records = []
-    for spec in specs:
+    for spec in reversed(specs):
         t = spec.t
         g = littlewoodize(fekete_coeffs(spec))
         l4 = l4_norm_pow4(g, kernel="fast")
@@ -247,7 +251,7 @@ def run_convergence(
                 rel_err=abs_err / limit,
             )
         )
-    return records
+    return records[::-1]
 
 
 def sig15(x: float) -> float:

@@ -24,9 +24,15 @@ Memory: at most about 24 bytes per coefficient under tracemalloc in the
 four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
 direct kernel, plus about 0.6 MiB of tile buffers; the docstrings of
 autocorrelation_fast and autocorrelation_naive say which arrays these
-are.  FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
-anything is allocated for it; every kernel rejects a longer raw sequence
-the same way.
+are.  The four-piece kernel's spectra and rows are one block each, and
+the lags are rounded into the memory of two spent spectra;
+autocorrelation_fast returns a copy of them, made once the rows are
+freed.  l4_norm_pow4 keeps those buffers between calls, one workspace
+for the thread that last called it, up to _HELD_BYTES = 64 MiB (t up to
+about 2.8 million); longer sequences allocate them per call.  FeketeSpec
+caps t at MAX_LENGTH, so a length is rejected before anything is
+allocated for it; every kernel rejects a longer raw sequence the same
+way.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -46,7 +53,9 @@ from .primality import as_int, require_odd_prime
 
 # Longest sequence a FeketeSpec accepts: 2**25 = 33,554,432 coefficients.
 # One exact norm at this length (norm --p 33554467 --r 7000000) peaked at
-# 1375 MiB of RSS, 43 bytes per coefficient, in 5.4-6.6 s on a 2-vCPU VM.
+# 1375 MiB of RSS, 43 bytes per coefficient, in 4.4-4.9 s on a 2-vCPU VM
+# (2 runs, Python 3.11.7, numpy 2.4.6): 24t bytes of spectral buffers and
+# pocketfft's scratch for two transforms of 2**24 points.
 MAX_LENGTH = 2**25
 
 
@@ -350,29 +359,34 @@ def _fft_worker(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="feketelab-fft")
 
 
-def _pair(transform, a, b, n: int) -> tuple:
-    """(transform(a, n), transform(b, n)), on this thread and this process's
-    worker at once: numpy's transforms release the GIL.
+def _pair(transform, a, b, n: int, out) -> None:
+    """transform(a, n, out=out[0]) and transform(b, n, out=out[1]), on this
+    thread and this process's worker at once: numpy's transforms release
+    the GIL.
 
     The worker is given b and this thread runs a, then b as well if the
     worker has not started it.  So this thread never waits on a worker
     that is slow to start (its CPU is busy, or there is only one); it
     waits only for a transform the worker is running.  If a raises, b is
     cancelled, or waited for if the worker has started it, so no transform
-    outlives the call that asked for it.
+    outlives the call that asked for it or writes into out after it.
     """
-    future = _fft_worker(os.getpid()).submit(transform, b, n)
+    future = _fft_worker(os.getpid()).submit(transform, b, n, out=out[1])
     try:
-        first = transform(a, n)
+        transform(a, n, out=out[0])
     except BaseException:
         if not future.cancel():
             future.exception()
         raise
-    return first, (transform(b, n) if future.cancel() else future.result())
+    if future.cancel():
+        transform(b, n, out=out[1])
+    else:
+        future.result()
 
 
-def _to_gap_spectra(spectra: list) -> None:
-    """Overwrite the piece spectra F_0..F_3 by the gap spectra S_0..S_3.
+def _to_gap_spectra(spectra: np.ndarray) -> None:
+    """Overwrite the piece spectra F_0..F_3, the rows of spectra, by the
+    gap spectra S_0..S_3.
 
     S_d = sum_i conj(F_i) F_{i+d}, and S_0 = sum_i |F_i|^2 + 0j by
     _to_power once S_1..S_3 are formed, in blocks of _GAP_BLOCK entries,
@@ -428,6 +442,86 @@ def _short_correlation(f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_correlation(f: np.ndarray, spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """int64 autocorrelations of f, t >= 2**14, by four pieces of q =
+    ceil(t/4) coefficients, in the buffers given.
+
+    spectra is a C-contiguous (4, h) complex128 block and rows a (2, m)
+    float64 pair, m the smallest 5-smooth number >= 2q - 1 and h =
+    m // 2 + 1.  Each pair of pieces is cast into the rows and transformed
+    into two rows of spectra, which _to_gap_spectra overwrites by the gap
+    spectra; the rows take each pair of inverses.  The lags are rounded
+    into the memory of the spent S_2 and S_3 rows (8t <= 32h bytes, as h
+    >= q), and returned there as a view.
+    """
+    t = f.size
+    q = -(-t // 4)
+    m = rows.shape[1]
+    for i in (0, 2):
+        a, b = f[i * q : (i + 1) * q], f[(i + 1) * q : (i + 2) * q]
+        rows[0, : a.size], rows[1, : b.size] = a, b
+        _pair(np.fft.rfft, rows[0, : a.size], rows[1, : b.size], m, spectra[i : i + 2])
+    _to_gap_spectra(spectra)
+    _pair(np.fft.irfft, spectra[2], spectra[3], m, rows)
+    lags = spectra[2:].reshape(-1).view(np.int64)[:t]
+    _round_gap(rows[1], 3, q, lags)
+    _round_gap(rows[0], 2, q, lags)
+    _pair(np.fft.irfft, spectra[0], spectra[1], m, rows)
+    _round_gap(rows[1], 1, q, lags)
+    _round_gap(rows[0], 0, q, lags)
+    return lags
+
+
+# Most bytes of spectral buffers that l4_norm_pow4 keeps for a thread
+# between calls.  A length needs 16 (4h + m) bytes, about 24t, so every
+# length up to about 2.8 million coefficients runs in a held workspace.
+_HELD_BYTES = 2**26
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(thread: int) -> list:
+    """The spectral buffers l4_norm_pow4 keeps for the thread whose ident
+    is thread: empty, or a flat complex128 array for the spectra and a flat
+    float64 array for the rows, from which _autocorrelation carves each
+    call's views.
+
+    One entry: a call from another thread evicts it, so threads never
+    share buffers.  It is a functools cache, so cache_clear drops it.
+    """
+    return []
+
+
+def _autocorrelation(f: np.ndarray, held: list | None = None) -> np.ndarray:
+    """int64 autocorrelations of the validated sequence f: the one body of
+    autocorrelation_fast and of l4_norm_pow4's fast kernel.
+
+    Below 2**14 coefficients, _short_correlation.  From 2**14 up,
+    _split_correlation, whose lags are a view into its spectra.  Its
+    buffers are carved from held, a _workspace, if one is given and they
+    fit in _HELD_BYTES: the held arrays grow to exactly the size asked, the
+    smaller ones freed first, and are never shrunk, so the lags are
+    overwritten by the thread's next call.  Otherwise they are made for
+    this call.  A call that raises empties held, so a transform left
+    running by an interrupted wait writes into no buffer a later call uses.
+    """
+    t = f.size
+    if t < _SPLIT_MIN:
+        return _short_correlation(f)
+    m = _smooth_length(2 * (-(-t // 4)) - 1)
+    h = m // 2 + 1
+    if held is None or 16 * (4 * h + m) > _HELD_BYTES:
+        return _split_correlation(f, np.empty((4, h), dtype=np.complex128), np.empty((2, m)))
+    # enough rows means enough spectra: h grows with m
+    if not held or held[1].size < 2 * m:
+        held.clear()
+        held[:] = [np.empty(4 * h, dtype=np.complex128), np.empty(2 * m)]
+    try:
+        return _split_correlation(f, held[0][: 4 * h].reshape(4, h), held[1][: 2 * m].reshape(2, m))
+    except BaseException:
+        held.clear()
+        raise
+
+
 def autocorrelation_fast(seq) -> np.ndarray:
     """Same integer output as autocorrelation_naive in O(t log t).
 
@@ -457,38 +551,24 @@ def autocorrelation_fast(seq) -> np.ndarray:
 
     Memory, short path: the spectrum (8n bytes), the int64 result (8t)
     and the irfft output (8n), with n about 2t: 44 bytes per coefficient
-    under tracemalloc at t = 2**14 - 1.  Four-piece path: the four
-    piece spectra, of about 8m = 4t bytes each, are overwritten in place
-    by the gap spectra; S_2 and S_3 are inverted and their spectra
-    dropped before the int64 result (8t) is allocated, and their inverses
-    are rounded into it before S_0 and S_1 are inverted.  So at most
-    about 24t bytes are live (24.3 bytes per coefficient under tracemalloc
-    at t = 2**18), plus pocketfft's own scratch, about 16 bytes per point
-    of each of the two running transforms.  Every irfft output is rounded
-    straight into the result by one guard, with numpy's ufunc buffers and
-    blocks of _GAP_BLOCK entries the only other temporaries.
+    under tracemalloc at t = 2**14 - 1.  Four-piece path, on buffers made
+    for the call (see _split_correlation): a (4, h) complex128 block of
+    spectra, h = m // 2 + 1, about 16t bytes, and two float64 rows of m
+    points, about 8t.  Each piece is cast into a row and transformed from
+    it with out=, so no int8 piece is cast to a temporary; the spectra
+    are overwritten in place by the gap spectra, the rows take the
+    inverses, and the int64 lags are rounded into the spent S_2 and S_3
+    spectra.  The rows are dropped before the lags are copied out, so at
+    most about 24t bytes are live, plus under 0.6 MiB of numpy's ufunc
+    buffers and blocks of _GAP_BLOCK entries (26.3 bytes per coefficient
+    under tracemalloc at t = 2**18, 24.9 at t = 10**6 + 3), plus
+    pocketfft's own scratch, about 16 bytes per point of each of the two
+    running transforms.  l4_norm_pow4 runs the same body on buffers it
+    keeps between calls, and copies nothing.
     """
     f = _coefficients(seq)
-    t = f.size
-    if t < _SPLIT_MIN:
-        return _short_correlation(f)
-    q = -(-t // 4)
-    m = _smooth_length(2 * q - 1)
-    spectra = [
-        *_pair(np.fft.rfft, f[:q], f[q : 2 * q], m),
-        *_pair(np.fft.rfft, f[2 * q : 3 * q], f[3 * q :], m),
-    ]
-    _to_gap_spectra(spectra)
-    below, above = _pair(np.fft.irfft, spectra[2], spectra[3], m)
-    del spectra[2:]
-    out = np.empty(t, dtype=np.int64)
-    _round_gap(above, 3, q, out)
-    _round_gap(below, 2, q, out)
-    del below, above
-    below, above = _pair(np.fft.irfft, spectra[0], spectra[1], m)
-    _round_gap(above, 1, q, out)
-    _round_gap(below, 0, q, out)
-    return out
+    c = _autocorrelation(f)
+    return c if f.size < _SPLIT_MIN else c.copy()
 
 
 # Prime modulus of the autocorrelation certificate: a product of two
@@ -587,9 +667,21 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
 
     Sums the squares with overflow-guarded int64 dot products.  Since
     |c_u| <= t, one chunk covers every t with t^3 <= 2^62 (t <= 1.6e6).
+
+    The fast kernel runs autocorrelation_fast's body and sums the lags
+    where they were rounded, in the spent S_2 and S_3 spectra, with no
+    copy.  From 2**14 coefficients up its buffers are this thread's
+    _workspace, kept between calls while they fit in _HELD_BYTES = 64 MiB
+    (t up to about 2.8 million): a ladder of norms, run largest first,
+    allocates them once and faults their pages in once, where buffers
+    made per call are returned to the system by the allocator and faulted
+    in again by the next call.  So the first call peaks at about 24t bytes
+    under tracemalloc and a repeat at the same length allocates under
+    1 MiB.  Longer sequences get buffers made for the call, as
+    autocorrelation_fast does, and leave the held ones as they are.
     """
     if kernel == "fast":
-        c = autocorrelation_fast(seq)
+        c = _autocorrelation(_coefficients(seq), _workspace(threading.get_ident()))
     elif kernel == "naive":
         c = autocorrelation_naive(seq)
     else:

@@ -210,14 +210,15 @@ def test_decomposition_check_decomposes_each_grid_entry_once(monkeypatch):
 
 
 def test_decomposition_check_catches_a_wrong_spectral_norm(monkeypatch):
-    real = sequences.autocorrelation_fast
+    # l4_norm_pow4 and autocorrelation_fast share one spectral body
+    real = sequences._autocorrelation
 
-    def off_by_one_at_the_last_lag(seq):
-        c = real(seq).copy()
+    def off_by_one_at_the_last_lag(f, held=None):
+        c = real(f, held).copy()
         c[-1] += 1
         return c
 
-    monkeypatch.setattr(sequences, "autocorrelation_fast", off_by_one_at_the_last_lag)
+    monkeypatch.setattr(sequences, "_autocorrelation", off_by_one_at_the_last_lag)
     result = suites.check_decomposition()
     assert not result.passed
     assert result.detail == "identity broken at FeketeSpec(p=3, r=0, t=1)"

@@ -124,14 +124,15 @@ def test_scan_rejects_a_prime_target_beyond_64_bits(tmp_path, capsys):
 
 @pytest.mark.parametrize("kernel,spectral_calls", [("--fast", 1), ("--naive", 0)])
 def test_norm_runs_one_kernel_once(capsys, monkeypatch, kernel, spectral_calls):
+    # l4_norm_pow4 and autocorrelation_fast share one spectral body
     calls = []
-    fast = sequences.autocorrelation_fast
+    fast = sequences._autocorrelation
 
-    def spy(seq):
-        calls.append(len(seq))
-        return fast(seq)
+    def spy(f, held=None):
+        calls.append(len(f))
+        return fast(f, held)
 
-    monkeypatch.setattr(sequences, "autocorrelation_fast", spy)
+    monkeypatch.setattr(sequences, "_autocorrelation", spy)
     code, out, _ = run(capsys, "norm", "--p", "13", "--r", "3", "--t", "20", kernel)
     assert code == 0 and "merit_factor: " in out
     assert calls == [20] * spectral_calls

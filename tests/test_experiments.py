@@ -258,6 +258,20 @@ def test_run_convergence_record_fields():
             assert rec.rel_err == pytest.approx(rec.abs_err / rec.limit)
 
 
+def test_run_convergence_runs_the_largest_rung_first(monkeypatch):
+    # the top rung sizes the held spectral workspace for the whole ladder
+    real, lengths = experiments.l4_norm_pow4, []
+
+    def spy(seq, kernel="fast"):
+        lengths.append(len(seq))
+        return real(seq, kernel)
+
+    monkeypatch.setattr(experiments, "l4_norm_pow4", spy)
+    records = run_convergence(0.25, 1.0, 20000, 60000, 4)
+    assert lengths == sorted((rec.t for rec in records), reverse=True)
+    assert [rec.p for rec in records] == sorted(rec.p for rec in records)
+
+
 def test_run_convergence_negative_R_rounding():
     records = run_convergence(-0.25, 1.0, 100, 200, 2)
     for rec in records:

@@ -239,10 +239,12 @@ def test_split_kernel_guards_each_inverse(monkeypatch, gap, index):
     real_irfft = np.fft.irfft
     seen = []
 
-    def irfft_with_a_nan(spectrum, n):
+    def irfft_with_a_nan(spectrum, n, out=None):
+        # the kernel inverts into buffers it passes as out
+        assert out is not None
         d = min(range(4), key=lambda d: np.abs(spectrum - spectra[d]).max())
         assert np.allclose(spectrum, spectra[d], rtol=0, atol=1e-6 * t)
-        out = real_irfft(spectrum, n)
+        real_irfft(spectrum, n, out=out)
         if d == gap:
             out[index] = np.nan
         seen.append((d, out.size))
@@ -264,11 +266,15 @@ def test_split_kernel_from_several_threads():
     # Three callers share the one worker thread on a two-core host; a
     # short switch interval interleaves them as often as it can.  With the
     # cache empty, they race to make the executor: each may make its own,
-    # and every executor left uncached is collected with its thread.
+    # and every executor left uncached is collected with its thread.  The
+    # norms run on held workspaces, one cached for the last thread that
+    # asked: callers that alternate evict each other's, and each must
+    # still get exact results.
     sequences._fft_worker.cache_clear()
     rng = np.random.RandomState(47)
     seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in (2**14 + 3, 3 * 2**13 + 1)]
     expected = [autocorrelation_naive(seq) for seq in seqs]
+    norms = [2 * _sum_squares(c) - int(c[0]) ** 2 for c in expected]
     mismatches = []
     done = []
 
@@ -277,6 +283,8 @@ def test_split_kernel_from_several_threads():
             j = (i + k) % 2
             if not (autocorrelation_fast(seqs[j]) == expected[j]).all():
                 mismatches.append((k, i))
+            if l4_norm_pow4(seqs[j]) != norms[j]:
+                mismatches.append((k, i, "norm"))
         done.append(k)
 
     interval = sys.getswitchinterval()
@@ -395,7 +403,7 @@ def test_split_kernel_runs_no_transform_after_a_failure(monkeypatch):
 
 def send_autocorrelation(seq, conn):
     c = autocorrelation_fast(seq)
-    conn.send((c, fft_workers()))
+    conn.send((c, l4_norm_pow4(seq), fft_workers()))
     conn.close()
 
 
@@ -407,9 +415,12 @@ def send_autocorrelation(seq, conn):
 def test_split_kernel_in_a_forked_child():
     # The parent's worker holds a task when the child is forked; the child
     # inherits the parent's executor but not its thread, and must make an
-    # executor of its own.
+    # executor of its own.  It inherits the held workspace of the thread
+    # that forked it too, as a copy, and its norm must be exact on it.
     seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
     expected = autocorrelation_fast(seq)
+    norm = l4_norm_pow4(seq)
+    assert norm == 2 * _sum_squares(expected) - int(expected[0]) ** 2
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=send_autocorrelation, args=(seq, send))
@@ -423,7 +434,7 @@ def test_split_kernel_in_a_forked_child():
     send.close()
     try:
         assert receive.poll(30), "the forked child sent no result"
-        got, workers = receive.recv()
+        got, got_norm, workers = receive.recv()
     finally:
         child.join(timeout=10)
         if child.is_alive():
@@ -431,7 +442,93 @@ def test_split_kernel_in_a_forked_child():
             child.join()
     assert child.exitcode == 0
     assert (got == expected).all()
+    assert got_norm == norm
     assert len(workers) == 1
+
+
+def test_norm_workspace_across_lengths_and_the_held_bound(monkeypatch):
+    # The bound is lowered to 1 MiB so that lengths on both sides of it stay
+    # cheap: 40000 coefficients need 960,064 bytes of buffers, 50001 and
+    # 60000 more than 1 MiB.  The lengths go up, down and up again, across
+    # 2**14 and across the bound; after each call every held buffer is
+    # filled with NaN, so a value left by an earlier call cannot pass.
+    bound = 2**20
+    monkeypatch.setattr(sequences, "_HELD_BYTES", bound)
+    sequences._workspace.cache_clear()
+    ident = threading.get_ident()
+    held = sequences._workspace(ident)
+    rng = np.random.RandomState(79)
+    for t in (2**14 + 1, 40000, 2**14 - 3, 30001, 60000, 2**14 + 3, 50001, 20000, 40000):
+        seq = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=t)
+        c = autocorrelation_fast(seq)
+        assert _certify_autocorrelation(seq, c, CERTIFICATE_POINTS[:2]), t
+        if t < 2**15:
+            assert (c == autocorrelation_naive(seq)).all(), t
+        before = list(held)
+        assert l4_norm_pow4(seq) == 2 * _sum_squares(c) - int(c[0]) ** 2, t
+        assert sequences._workspace(ident) is held
+        assert sum(buf.nbytes for buf in held) <= bound, t
+        if t in (60000, 50001):
+            # made for the call: the held buffers are left as they were
+            assert len(held) == len(before) and all(a is b for a, b in zip(held, before))
+        lags = sequences._autocorrelation(seq, held)
+        assert (lags == c).all(), t
+        for buf in held:
+            buf.fill(np.nan)
+    # a first call above the bound holds nothing
+    seq = rng.choice(np.array([-1, 1], dtype=np.int8), size=60000)
+    c = autocorrelation_fast(seq)
+    sequences._workspace.cache_clear()
+    assert l4_norm_pow4(seq) == 2 * _sum_squares(c) - int(c[0]) ** 2
+    assert len(sequences._workspace(ident)) == 0
+
+
+def test_norm_workspace_peak_memory():
+    # The first norm at t = 2**18 makes the held buffers, 48m + 64 bytes
+    # with m = 2**17, about 24t; a repeat at the same length carves the
+    # same buffers and allocates only numpy's ufunc buffers and the blocks
+    # of _to_gap_spectra.  tracemalloc does not see pocketfft's scratch.
+    t = 2**18
+    seq = np.random.RandomState(83).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    c = autocorrelation_fast(seq)
+    expected = 2 * _sum_squares(c) - int(c[0]) ** 2
+    sequences._workspace.cache_clear()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert l4_norm_pow4(seq) == expected
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 24 * t + 2**20, peaks[0] / t
+    assert peaks[1] < 2**20, peaks[1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_failed_norm_empties_its_held_workspace(monkeypatch):
+    # A transform left running by an interrupted wait must find no later
+    # call in the buffers it writes: a call that raises drops them.
+    seq = np.random.RandomState(89).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    norm = l4_norm_pow4(seq)
+    held = sequences._workspace(threading.get_ident())
+    assert len(held) == 2
+    real_irfft = np.fft.irfft
+
+    def irfft_with_a_nan(spectrum, n, out=None):
+        real_irfft(spectrum, n, out=out)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
+    with pytest.raises(KernelPrecisionError, match="residual nan"):
+        l4_norm_pow4(seq)
+    assert len(held) == 0
+    monkeypatch.undo()
+    assert l4_norm_pow4(seq) == norm
+    assert len(held) == 2
 
 
 CERTIFICATE_POINTS = np.random.RandomState(61).randint(2, 2**31 - 1, size=5)
