@@ -30,6 +30,7 @@ from .sequences import (
     fekete_coeffs,
     l4_norm_pow4,
     littlewoodize,
+    _quadruples,
     _window_sum_sq,
 )
 
@@ -95,38 +96,24 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
 
     G = sum over (a, b, c) in (Z/nZ)^3 of | sum of w^(-a j2 + b j3 + c j4)
     over 0 <= j1, j2, j3, j4 < t with j1 + j2 = j3 + j4 |, w = e^(2 pi i/n).
-    Each quadruple is fixed by (j2, j3, j4) with j1 = j3 + j4 - j2 in
-    [0, t), so the inner sum at (a, -b, -c) is the 3-D DFT of the counts
-    of those triples by residue mod n; negating b and c permutes
+    The quadruples are those of sequences._quadruples, each fixed by
+    (j2, j3, j4), so the inner sum at (a, -b, -c) is the 3-D DFT of the
+    counts of those triples by residue mod n; negating b and c permutes
     (Z/nZ)^3, so G is the sum of the DFT's magnitudes.  The counts are
     real, so the DFT at -k mirrors the one at k: rfftn keeps the planes
     0 <= c <= n/2 of the last axis, and the planes strictly inside that
-    range stand for themselves and their mirror images.  The triples come
-    from _lemma_triples, which the verify gate shares: it takes G at every
-    length up to 32 from one running count per n (_lemma_bounds).
+    range stand for themselves and their mirror images.  The verify gate
+    takes G at every length up to 32 from one running count per n
+    (_lemma_bounds).
     """
     n, t = as_int(n, "n"), as_int(t, "t")
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
     if not 1 <= t <= 32:
         raise ValueError(f"need 1 <= t <= 32, got t={t}")
-    *_, residue = _lemma_triples(n, t)
-    return _lemma_bound(np.bincount(residue, minlength=n**3), n, t)
-
-
-def _lemma_triples(n: int, t: int):
-    """The triples (j2, j3, j4) in [0, t)^3 with j1 = j3 + j4 - j2 in
-    [0, t): (j1, j2, j3, j4) broadcast over the cube, the mask of the
-    triples kept, and the kept triples' flat residue indices
-    ((j2 mod n) n + j3 mod n) n + j4 mod n.
-    """
-    # int16 holds j3 + j4 - j2 and the flat residue index below n^3 <= 13824
-    j = np.arange(t, dtype=np.int16)
-    j2, j3, j4 = j[:, None, None], j[None, :, None], j[None, None, :]
-    j1 = j3 + j4 - j2
-    inside = (j1 >= 0) & (j1 < t)
-    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside]
-    return (j1, j2, j3, j4), inside, residue
+    (_, j2, j3, j4), inside, _ = _quadruples(t)
+    residue = ((j2 % n) * n + j3 % n) * n + j4 % n
+    return _lemma_bound(np.bincount(residue[inside], minlength=n**3), n, t)
 
 
 def _lemma_counts(n: int, t_max: int):
@@ -134,21 +121,18 @@ def _lemma_counts(n: int, t_max: int):
     (j2, j3, j4) that technical_lemma_check counts at length t, as one flat
     int64 array of n^3 entries, updated in place from one t to the next.
 
-    A triple counts at every length above the largest index of its
-    quadruple, as in sequences._char_sum_l4_prefixes.  So the triples of
-    t_max are built once and sorted by that index, and each length adds
-    the triples whose largest index is t - 1.
+    The triples and the length rule are those of sequences._quadruples.
+    So the triples of t_max are built once and sorted by largest index,
+    and each length adds the triples whose largest index is t - 1.
     """
-    (j1, j2, j3, j4), inside, residue = _lemma_triples(n, t_max)
-    largest = np.maximum(np.maximum(j1, j2), np.maximum(j3, j4))[inside]
+    (_, j2, j3, j4), inside, largest = _quadruples(t_max)
+    largest = largest[inside]
     order = np.argsort(largest, kind="stable")
-    residue = residue[order]
-    ends = np.searchsorted(largest[order], np.arange(1, t_max + 1))
+    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside][order]
+    ends = np.searchsorted(largest[order], np.arange(1, t_max + 1)).tolist()
     counts = np.zeros(n**3, dtype=np.int64)
-    start = 0
-    for end in ends.tolist():
+    for start, end in zip([0] + ends, ends):
         counts += np.bincount(residue[start:end], minlength=n**3)
-        start = end
         yield counts
 
 

@@ -27,6 +27,7 @@ from feketelab.sequences import (
     periodic_lower_bound,
     _certify_autocorrelation,
     _char_sum_l4_prefixes,
+    _quadruples,
     _SMOOTH_LENGTHS,
     _smooth_length,
     _sum_squares,
@@ -1126,6 +1127,51 @@ def test_char_sum_l4_prefixes_equal_the_loop_oracle_at_every_length():
             char_sum_l4_by_loop(FeketeSpec(spec.p, spec.r, t)) for t in range(1, spec.t + 1)
         ]
         assert char_sum_l4(spec) == sums[-1]
+
+
+def test_quadruples_keep_the_brute_force_set_with_its_largest_index():
+    for t in range(1, 9):
+        (j1, j2, j3, j4), inside, largest = _quadruples(t)
+        cube = np.broadcast_arrays(j1, j2, j3, j4, largest)
+        kept = sorted(zip(*(a[inside].tolist() for a in cube)))
+        expected = sorted(
+            (a, b, c, d, max(a, b, c, d))
+            for a in range(t)
+            for b in range(t)
+            for c in range(t)
+            for d in range(t)
+            if a + b == c + d
+        )
+        assert kept == expected
+
+
+def test_quadruples_count_and_int16_range():
+    for t in range(1, 65):
+        assert int(_quadruples(t)[1].sum()) == (2 * t**3 + t) // 3
+    (j1, j2, j3, j4), _, largest = _quadruples(64)
+    assert {a.dtype for a in (j1, j2, j3, j4, largest)} == {np.dtype(np.int16)}
+    assert (int(j1.min()), int(j1.max())) == (-63, 126)
+    # the exponential-sum lemma's flat residue index at its caps n = 24, t = 32
+    n = 24
+    _, j2, j3, j4 = _quadruples(32)[0]
+    residue = ((j2 % n) * n + j3 % n) * n + j4 % n
+    assert residue.dtype == np.int16
+    assert 0 <= int(residue.min()) and int(residue.max()) < n**3 == 13824
+
+
+def test_char_sum_l4_prefixes_peak_memory():
+    # 6.42 MiB measured at t = 64 (int16 indices); the margin is about 17%.
+    spec = FeketeSpec(61, 5, 64)
+    expected = _char_sum_l4_prefixes(spec)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sums = _char_sum_l4_prefixes(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.tolist() == expected.tolist()
+    assert peak < 7.5 * 2**20, peak / 2**20
 
 
 def test_char_sum_l4_rejects_oversize_t():
