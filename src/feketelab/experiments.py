@@ -103,8 +103,9 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     real, so the DFT at -k mirrors the one at k: rfftn keeps the planes
     0 <= c <= n/2 of the last axis, and the planes strictly inside that
     range stand for themselves and their mirror images.  The verify gate
-    takes G at every length up to 32 from one running count per n
-    (_lemma_bounds).
+    takes G at every length up to 32 from one count per n, transformed
+    as stacks of lengths (_lemma_bounds); both run _lemma_stack, this
+    check on a stack of one.
     """
     n, t = as_int(n, "n"), as_int(t, "t")
     if not 1 <= n <= 24:
@@ -113,43 +114,57 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
         raise ValueError(f"need 1 <= t <= 32, got t={t}")
     (_, j2, j3, j4), inside, _ = _quadruples(t)
     residue = ((j2 % n) * n + j3 % n) * n + j4 % n
-    return _lemma_bound(np.bincount(residue[inside], minlength=n**3), n, t)
+    counts = np.bincount(residue[inside], minlength=n**3)
+    return _lemma_stack(counts.reshape(1, n, n, n), n, t)[0]
 
 
-def _lemma_counts(n: int, t_max: int):
-    """Yield, for t = 1 .. t_max, the counts by residue mod n of the triples
-    (j2, j3, j4) that technical_lemma_check counts at length t, as one flat
-    int64 array of n^3 entries, updated in place from one t to the next.
+def _lemma_counts(n: int, t_max: int) -> np.ndarray:
+    """The counts by residue mod n of the triples (j2, j3, j4) that
+    technical_lemma_check counts at each length t = 1 .. t_max: int64,
+    shape (t_max, n, n, n), entry t - 1 for length t.
 
     The triples and the length rule are those of sequences._quadruples.
-    So the triples of t_max are built once and sorted by largest index,
-    and each length adds the triples whose largest index is t - 1.
+    So the triples of t_max are counted once by (largest index, residue),
+    one np.bincount, and a running sum over the largest index gives each
+    length: one add of whole rows per length, which measured about 4.5
+    times faster than np.cumsum along that axis at n = 24.
     """
     (_, j2, j3, j4), inside, largest = _quadruples(t_max)
-    largest = largest[inside]
-    order = np.argsort(largest, kind="stable")
-    residue = (((j2 % n) * n + j3 % n) * n + j4 % n)[inside][order]
-    ends = np.searchsorted(largest[order], np.arange(1, t_max + 1)).tolist()
-    counts = np.zeros(n**3, dtype=np.int64)
-    for start, end in zip([0] + ends, ends):
-        counts += np.bincount(residue[start:end], minlength=n**3)
-        yield counts
+    residue = ((j2 % n) * n + j3 % n) * n + j4 % n
+    key = largest[inside].astype(np.intp) * n**3 + residue[inside]
+    counts = np.bincount(key, minlength=t_max * n**3).reshape(t_max, n, n, n)
+    for t in range(1, t_max):
+        counts[t] += counts[t - 1]
+    return counts
 
 
-def _lemma_bound(counts: np.ndarray, n: int, t: int) -> ExponentialSumBound:
-    """G from the n^3 residue counts at length t, against its bound."""
-    planes = np.abs(np.fft.rfftn(counts.reshape(n, n, n))).sum(axis=(0, 1))
+def _lemma_stack(counts: np.ndarray, n: int, t_first: int) -> list:
+    """ExponentialSumBound of each entry of a (k, n, n, n) stack of residue
+    counts, entry i at length t_first + i: G from one rfftn of the stack."""
+    planes = np.abs(np.fft.rfftn(counts, axes=(1, 2, 3))).sum(axis=(1, 2))
     # Plane 0, and plane n/2 for even n, are their own mirror images.
-    G = float(2.0 * planes.sum() - planes[0] - (planes[-1] if n % 2 == 0 else 0.0))
-    bound = 64.0 * max(n, t) ** 3 * (1.0 + math.log(n)) ** 3
-    return ExponentialSumBound(G=G, bound=bound, ok=G <= bound)
+    G = 2.0 * planes.sum(axis=1) - planes[:, 0] - (planes[:, -1] if n % 2 == 0 else 0.0)
+    bounds = []
+    for t, g in enumerate(G.tolist(), t_first):
+        bound = 64.0 * max(n, t) ** 3 * (1.0 + math.log(n)) ** 3
+        bounds.append(ExponentialSumBound(G=g, bound=bound, ok=g <= bound))
+    return bounds
+
+
+# Most residue counts that _lemma_bounds transforms in one stack: each
+# rfftn's float64 input stays within 512 KiB.  In one run of the gate's
+# check on a 2-vCPU VM, stacks of 2**15 to 2**17 counts took 59-60 ms and
+# of 2**13 counts 65 ms.
+_LEMMA_STACK = 2**16
 
 
 def _lemma_bounds(n: int, t_max: int):
     """technical_lemma_check(n, t) for t = 1 .. t_max, in order, from one
-    run of _lemma_counts: one rfftn per length."""
-    for t, counts in enumerate(_lemma_counts(n, t_max), 1):
-        yield _lemma_bound(counts, n, t)
+    _lemma_counts: one rfftn per stack of at most _LEMMA_STACK counts."""
+    counts = _lemma_counts(n, t_max)
+    k = max(1, _LEMMA_STACK // n**3)
+    for lo in range(0, t_max, k):
+        yield from _lemma_stack(counts[lo : lo + k], n, lo + 1)
 
 
 @dataclass(frozen=True)

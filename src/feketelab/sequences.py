@@ -17,8 +17,10 @@ public call; the vectors built here are read-only int8 arrays.
 
 From 2**14 coefficients up, the spectral kernel cuts the sequence into
 four pieces, each transformed at about t/2 points, and runs its eight
-transforms in pairs: one on the calling thread and one on the process's
-worker thread (see _pair).
+transforms in pairs.  From 10,000 points per transform up (more than
+19,440 coefficients) one transform of a pair runs on the calling thread
+and the other on the process's worker thread; shorter pairs run on the
+calling thread alone (see _pair).  Every lag is rounded once.
 
 Memory: at most about 24 bytes per coefficient under tracemalloc in the
 four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
@@ -307,6 +309,16 @@ _SPLIT_MIN = 2**14
 # read and the products written stay within a core's L2 cache.
 _GAP_BLOCK = 2**12
 
+# Fewest transform points at which _pair hands a transform to the worker
+# thread; below it the handoff costs more than it saves.  Medians of 40-60
+# alternating four-piece kernel calls on a 2-vCPU VM, two threads against
+# one: 1.25-1.90 against 0.83-1.75 ms at m = 8192, 1.46-1.62 against
+# 1.39-1.67 ms at 10000, 1.75 against 1.97 ms at 11250, 2.10-2.47 against
+# 2.36-2.61 ms at 16384, 7.2 against 10.1 ms at 54000 and 15.1 against
+# 23.4 ms at 131072: the two break even near 10000 points.  The gate's
+# only four-piece length, m = 8192, never starts the worker.
+_PAIR_MIN = 10_000
+
 
 def _round_into(values: np.ndarray, out: np.ndarray, t: int) -> None:
     """Round values into the int64 array out, under the residual guard.
@@ -347,7 +359,7 @@ def _to_power(first: np.ndarray, rest=()) -> None:
 def _fft_worker(pid: int):
     """The executor of the spectral kernel's one worker thread in process pid.
 
-    A child made by fork has a new pid, so its first long call evicts the
+    A child made by fork has a new pid, so its first handoff evicts the
     inherited executor, whose thread stayed in the parent.  With no lock,
     none is inherited held; threads racing on the very first call may each
     make an executor, and one left uncached is collected with its thread
@@ -360,9 +372,10 @@ def _fft_worker(pid: int):
 
 
 def _pair(transform, a, b, n: int, out) -> None:
-    """transform(a, n, out=out[0]) and transform(b, n, out=out[1]), on this
-    thread and this process's worker at once: numpy's transforms release
-    the GIL.
+    """transform(a, n, out=out[0]) and transform(b, n, out=out[1]): below
+    _PAIR_MIN points both on this thread, one after the other; from
+    _PAIR_MIN up on this thread and this process's worker at once, as
+    numpy's transforms release the GIL.
 
     The worker is given b and this thread runs a, then b as well if the
     worker has not started it.  So this thread never waits on a worker
@@ -371,6 +384,10 @@ def _pair(transform, a, b, n: int, out) -> None:
     cancelled, or waited for if the worker has started it, so no transform
     outlives the call that asked for it or writes into out after it.
     """
+    if n < _PAIR_MIN:
+        transform(a, n, out=out[0])
+        transform(b, n, out=out[1])
+        return
     future = _fft_worker(os.getpid()).submit(transform, b, n, out=out[1])
     try:
         transform(a, n, out=out[0])
@@ -405,24 +422,17 @@ def _to_gap_spectra(spectra: np.ndarray) -> None:
         f[1][...], f[2][...], f[3][...] = s1, s2, s3
 
 
-def _round_gap(inverse: np.ndarray, d: int, q: int, out: np.ndarray) -> None:
-    """Round the inverse of S_d into lags (d-1) q + 1 .. (d+1) q - 1 of out.
+def _round_head(inverse: np.ndarray, tail: np.ndarray, out: np.ndarray, t: int) -> None:
+    """Round the first q = out.size entries of the inverse of S_d, the lags
+    d q .. d q + q-1, into out, with tail, the q - 1 float64 lags
+    d q + 1 .. d q + q-1 that S_{d+1} holds, added in first.
 
-    Its first q entries are the lags from d q up and its last q - 1 the
-    lags below d q.  For d < 3, out must already hold the rounded lags of
-    S_{d+1} below (d+1) q, which are added in before the guard.
+    Each such lag is the sum of the two inverses, rounded once; the
+    residual guard checks the sum that is rounded.
     """
-    t = out.size
-    lo = d * q
-    head = inverse[: min(q, t - lo)]
-    if d < 3:
-        # integers of magnitude <= t: adding them moves no value across a
-        # half-integer, so rint of the sum is c there and its residual is
-        # this inverse's own
-        np.add(head[1:], out[lo + 1 : lo + q], out=head[1:])
-    _round_into(head, out[lo : lo + head.size], t)
-    if d > 0:
-        _round_into(inverse[inverse.size - q + 1 :], out[lo - q + 1 : lo], t)
+    head = inverse[: out.size]
+    np.add(head[1:], tail, out=head[1:])
+    _round_into(head, out, t)
 
 
 def _short_correlation(f: np.ndarray) -> np.ndarray:
@@ -453,6 +463,12 @@ def _split_correlation(f: np.ndarray, spectra: np.ndarray, rows: np.ndarray) -> 
     spectra; the rows take each pair of inverses.  The lags are rounded
     into the memory of the spent S_2 and S_3 rows (8t <= 32h bytes, as h
     >= q), and returned there as a view.
+
+    Every lag is rounded once.  A lag d q + k, 0 < k < q, sums index k of
+    the inverse of S_d and index m - q + k of the inverse of S_{d+1}; the
+    two are added in float64 and the sum is rounded (_round_head).  S_2's
+    tail waits for S_1's inverse, parked as float64 in the bytes of lags
+    q + 1 .. 2q - 1, which S_1's head then overwrites.
     """
     t = f.size
     q = -(-t // 4)
@@ -464,11 +480,14 @@ def _split_correlation(f: np.ndarray, spectra: np.ndarray, rows: np.ndarray) -> 
     _to_gap_spectra(spectra)
     _pair(np.fft.irfft, spectra[2], spectra[3], m, rows)
     lags = spectra[2:].reshape(-1).view(np.int64)[:t]
-    _round_gap(rows[1], 3, q, lags)
-    _round_gap(rows[0], 2, q, lags)
+    parked = lags.view(np.float64)[q + 1 : 2 * q]
+    tail = slice(m - q + 1, m)
+    _round_into(rows[1, : t - 3 * q], lags[3 * q :], t)
+    _round_head(rows[0], rows[1, tail], lags[2 * q : 3 * q], t)
+    parked[...] = rows[0, tail]
     _pair(np.fft.irfft, spectra[0], spectra[1], m, rows)
-    _round_gap(rows[1], 1, q, lags)
-    _round_gap(rows[0], 0, q, lags)
+    _round_head(rows[1], parked, lags[q : 2 * q], t)
+    _round_head(rows[0], rows[1, tail], lags[:q], t)
     return lags
 
 
@@ -541,13 +560,20 @@ def autocorrelation_fast(seq) -> np.ndarray:
     since m >= 2q - 1: its indices 0 .. q-1 give the lags d q .. d q + q-1
     and its last q - 1 indices the lags (d-1) q + 1 .. d q - 1.
 
-    The eight transforms run in four pairs by _pair, one transform of a
-    pair on the calling thread and the other on the process's worker
-    thread (numpy's transforms release the GIL): the forward transforms
-    of P_0 and P_1, then of P_2 and P_3, then the inverses of S_2 and
-    S_3, then of S_0 and S_1.  The worker runs nothing but np.fft calls;
-    it is made on the first long call and looked up by process id, so a
-    child made by fork makes its own.
+    Lag d q + k, 0 < k < q, gets two terms, index k of S_d's inverse and
+    index m - q + k of S_{d+1}'s; they are added in float64 and the sum
+    is rounded once, under the guard, so t values are rounded in all.
+
+    The eight transforms run in four pairs by _pair: the forward
+    transforms of P_0 and P_1, then of P_2 and P_3, then the inverses of
+    S_2 and S_3, then of S_0 and S_1.  From m = _PAIR_MIN = 10,000 points
+    up (t above 19,440) one transform of a pair runs on the calling
+    thread and the other on the process's worker thread (numpy's
+    transforms release the GIL); shorter pairs, whose handoff would cost
+    more than it saves, run on the calling thread.  The worker runs
+    nothing but np.fft calls; it is made on the first call that hands one
+    over and looked up by process id, so a child made by fork makes its
+    own.
 
     Memory, short path: the spectrum (8n bytes), the int64 result (8t)
     and the irfft output (8n), with n about 2t: 44 bytes per coefficient

@@ -55,13 +55,14 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-# Seconds any check may take.  In 30 in-process runs (6 processes) on a
-# 2-vCPU VM the slowest, kernel-equality, took 0.12-0.18 s, with
-# exponential-sum-bound next at 0.07-0.11 s and weil-square-cases at
-# 0.021-0.029 s; gauss-identity took 0.003-0.006 s and global-optimizer
-# 0.003-0.005 s.  The direct kernel's matrix products run on one OpenBLAS
+# Seconds any check may take.  In 40 in-process runs (8 processes) on a
+# 2-vCPU VM the slowest, kernel-equality, took 0.12-0.19 s, with
+# exponential-sum-bound next at 0.056-0.12 s and weil-square-cases at
+# 0.018-0.030 s; gauss-identity took 0.004-0.006 s and global-optimizer
+# 0.003-0.008 s.  The direct kernel's matrix products run on one OpenBLAS
 # thread, so a neighbour that keeps BLAS threads busy no longer stalls
-# kernel-equality.
+# kernel-equality, and every spectral transform of the gate runs on the
+# calling thread.
 CHECK_BUDGET_S = 2.0
 
 # Every check, in declaration order: the `all` suite.
@@ -239,8 +240,9 @@ def check_gauss_identity() -> tuple[bool, str]:
 
 @_gate("exponential-sum-bound")
 def check_exponential_sum_bound() -> tuple[bool, str]:
-    """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32: one running
-    count per n gives every length; first failure in (n, t) order."""
+    """G <= 64 max(n,t)^3 (1+ln n)^3 for all n <= 24, t <= 32: one count
+    per n gives every length, transformed in stacks; first failure in
+    (n, t) order."""
     worst = 0.0
     checked = 0
     for n in range(1, 25):

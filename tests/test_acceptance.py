@@ -6,6 +6,9 @@ lines; `feketelab verify --suite all` drives the same checks from the
 command line.
 """
 
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -48,6 +51,25 @@ def test_gate_names_are_the_verify_line_contract():
 def test_run_suite_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
         suites.run_suite("bogus")
+
+
+def test_the_gate_starts_no_worker_thread():
+    # Every spectral call of the gate transforms fewer than _PAIR_MIN
+    # points, so a fresh process that runs `verify --suite all` never makes
+    # the spectral kernel's worker thread.
+    program = (
+        "import threading\n"
+        "from feketelab import cli, sequences\n"
+        "assert cli.main(['verify', '--suite', 'all']) == 0\n"
+        "names = [t.name for t in threading.enumerate()]\n"
+        "print(sequences._fft_worker.cache_info().currsize, names)\n"
+    )
+    source = os.path.dirname(os.path.dirname(sequences.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, check=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=source),
+    )
+    assert result.stdout.splitlines()[-1] == "0 ['MainThread']"
 
 
 def _plus(by):

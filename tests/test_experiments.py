@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import csv
+import itertools
 import json
 import math
 import os
@@ -170,12 +171,52 @@ def lemma_counts_by_enumeration(n, t):
 
 def test_lemma_running_counts_equal_a_direct_enumeration():
     for n in range(1, 25):
-        for t, counts in enumerate(_lemma_counts(n, 32), 1):
+        counts = _lemma_counts(n, 32)
+        assert counts.shape == (32, n, n, n)
+        for t in range(1, 33):
             expected = lemma_counts_by_enumeration(n, t)
-            assert (counts == expected).all(), (n, t)
+            assert (counts[t - 1].reshape(-1) == expected).all(), (n, t)
             # every quadruple with j1 + j2 = j3 + j4 in [0, t)
             assert expected.sum() == (2 * t**3 + t) // 3
-        assert t == 32
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 5, 9])
+def test_lemma_counts_of_every_length_equal_a_brute_force_count(t_max):
+    # Loops over every quadruple in [0, t)^4 at each length t itself, with
+    # no length rule: entry t - 1 counts the residues of (j2, j3, j4).
+    for n in range(1, 7):
+        counts = _lemma_counts(n, t_max)
+        for t in range(1, t_max + 1):
+            expected = np.zeros((n, n, n), dtype=np.int64)
+            for j1, j2, j3, j4 in itertools.product(range(t), repeat=4):
+                if j1 + j2 == j3 + j4:
+                    expected[j2 % n, j3 % n, j4 % n] += 1
+            assert (counts[t - 1] == expected).all(), (n, t)
+
+
+def test_lemma_bounds_stack_the_lengths_by_the_counts_they_hold(monkeypatch):
+    # At most _LEMMA_STACK = 2**16 counts per transform: all 32 lengths of
+    # n = 5 (125 counts each) in one stack, 4 of n = 24 (13824 each) per
+    # stack, and with the bound below one length's counts, one per stack.
+    real_rfftn = np.fft.rfftn
+    shapes = []
+
+    def recording_rfftn(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", recording_rfftn)
+    for n in (5, 24):
+        shapes.clear()
+        bounds = list(_lemma_bounds(n, 32))
+        assert len(bounds) == 32
+        assert all(k * n**3 <= 2**16 for k, *_ in shapes)
+        assert [k for k, *_ in shapes] == {5: [32], 24: [4] * 8}[n]
+    expected = [technical_lemma_check(7, t) for t in range(1, 33)]
+    monkeypatch.setattr(experiments, "_LEMMA_STACK", 1)
+    shapes.clear()
+    assert list(_lemma_bounds(7, 32)) == expected
+    assert shapes == [(1, 7, 7, 7)] * 32
 
 
 def test_lemma_bounds_are_the_checks_at_every_length():

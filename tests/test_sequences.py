@@ -254,13 +254,97 @@ def test_split_kernel_guards_each_inverse(monkeypatch, gap, index):
     monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan)
     with pytest.raises(KernelPrecisionError, match=f"residual nan at length {t}"):
         autocorrelation_fast(seq)
-    m = _smooth_length(2 * (-(-t // 4)) - 1)
-    assert (gap, m) in seen
+    assert (gap, transform_points(t)) in seen
+
+
+@pytest.mark.parametrize("t", [2**14, 2**14 + 1, 2**14 + 2, 2**14 + 3, 100003])
+def test_split_kernel_rounds_every_lag_once(monkeypatch, t):
+    # Every lag is rounded by one _round_into call, into the lags the kernel
+    # returns, and no lag twice: the calls' outputs tile [0, t) exactly.
+    # The first four lengths leave 0 to 3 coefficients out of the last
+    # piece; 100003 hands one transform of each pair to the worker.
+    seq = np.random.RandomState(97).choice(np.array([-1, 1], dtype=np.int8), size=t)
+    real_round_into = sequences._round_into
+    rounded = []
+
+    def recording_round_into(values, out, length):
+        rounded.append((out.__array_interface__["data"][0], out.size))
+        real_round_into(values, out, length)
+
+    monkeypatch.setattr(sequences, "_round_into", recording_round_into)
+    lags = sequences._autocorrelation(seq)
+    base = lags.__array_interface__["data"][0]
+    hits = np.zeros(t, dtype=np.int64)
+    for address, size in rounded:
+        start = (address - base) // 8
+        hits[start : start + size] += 1
+    assert sum(size for _, size in rounded) == t
+    assert (hits == 1).all()
+    assert (lags == autocorrelation_naive(seq)).all()
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_split_kernel_guards_the_sum_it_rounds(monkeypatch, end):
+    # Lag 3q - 1 sums the last index of S_3's inverse and index q - 1 of
+    # S_2's, lag q + 1 index 1 of S_1's and index m - q + 1 of S_2's.  Each
+    # part is moved by 6e-4, inside the 1e-3 guard, but their sum by 1.2e-3,
+    # outside it: the guard reads the value that is rounded.
+    t = 2**14 + 1
+    seq = np.random.RandomState(43).choice([-1, 1], size=t)
+    q = -(-t // 4)
+    m = transform_points(t)
+    spectra = gap_spectra(seq)
+    moved = [{3: -1, 2: q - 1}, {1: 1, 2: m - q + 1}][end]
+    real_irfft = np.fft.irfft
+
+    def irfft_off_by_6e_4(spectrum, n, out=None):
+        real_irfft(spectrum, n, out=out)
+        d = min(range(4), key=lambda d: np.abs(spectrum - spectra[d]).max())
+        if d in moved:
+            out[moved[d]] += 6e-4
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft_off_by_6e_4)
+    with pytest.raises(KernelPrecisionError, match=f"residual 1.200e-03 at length {t}"):
+        autocorrelation_fast(seq)
 
 
 def fft_workers():
     """Names of the live threads of the spectral kernel's executors."""
     return [t.name for t in threading.enumerate() if t.name.startswith("feketelab-fft")]
+
+
+# A length whose pieces are transformed at _PAIR_MIN points or more, so
+# that _pair hands one transform of each pair to the worker: 2**15 + 3 has
+# q = 8193 and m = 16875 = 3^3 5^4.
+WORKER_LENGTH = 2**15 + 3
+
+
+def transform_points(t):
+    """m, the points of each transform of the four-piece kernel at length t."""
+    return _smooth_length(2 * (-(-t // 4)) - 1)
+
+
+def test_pair_threshold_lengths_are_exact_and_only_the_longer_hands_off(monkeypatch):
+    # 19440 is the longest length transformed below _PAIR_MIN points (m =
+    # 9720) and 19441 the shortest at it (m = 10000).  Below, every
+    # transform runs on the caller and the worker is never looked up.
+    assert sequences._PAIR_MIN == 10_000
+    assert (transform_points(19440), transform_points(19441)) == (9720, 10_000)
+    real_worker = sequences._fft_worker
+    lookups = []
+
+    def counted_worker(pid):
+        lookups.append(pid)
+        return real_worker(pid)
+
+    monkeypatch.setattr(sequences, "_fft_worker", counted_worker)
+    rng = np.random.RandomState(101)
+    for t, handed_off in ((19440, 0), (19441, 4)):
+        seq = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=t)
+        lookups.clear()
+        assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all(), t
+        assert len(lookups) == handed_off, t
 
 
 def test_split_kernel_from_several_threads():
@@ -273,7 +357,9 @@ def test_split_kernel_from_several_threads():
     # still get exact results.
     sequences._fft_worker.cache_clear()
     rng = np.random.RandomState(47)
-    seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in (2**14 + 3, 3 * 2**13 + 1)]
+    lengths = (WORKER_LENGTH, 3 * 2**14 + 1)
+    assert min(map(transform_points, lengths)) >= sequences._PAIR_MIN
+    seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in lengths]
     expected = [autocorrelation_naive(seq) for seq in seqs]
     norms = [2 * _sum_squares(c) - int(c[0]) ** 2 for c in expected]
     mismatches = []
@@ -311,7 +397,7 @@ def test_split_kernel_from_several_threads():
 def test_split_kernel_passes_an_error_on_the_worker_to_the_caller(monkeypatch):
     # The caller's transform waits until the worker has started its own,
     # so the worker, not the caller, runs the failing transform.
-    seq = np.random.RandomState(53).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    seq = np.random.RandomState(53).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     caller = threading.get_ident()
     real_rfft = np.fft.rfft
     worker_started = threading.Event()
@@ -333,7 +419,7 @@ def test_split_kernel_passes_an_error_on_the_worker_to_the_caller(monkeypatch):
 def test_split_kernel_waits_for_a_running_worker_transform_before_it_raises(monkeypatch):
     # The caller's transform fails once the worker has started a slow one;
     # the call must not return before the worker's transform has finished.
-    seq = np.random.RandomState(43).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    seq = np.random.RandomState(43).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     caller = threading.get_ident()
     real_rfft = np.fft.rfft
     worker_started, worker_finished = threading.Event(), threading.Event()
@@ -357,7 +443,7 @@ def test_split_kernel_does_not_wait_for_a_busy_worker():
     # While the worker is held by another task, every transform runs on
     # the caller; had the caller waited for the worker, the kernel would
     # return only after the task gave up, and the task would be done.
-    seq = np.random.RandomState(57).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    seq = np.random.RandomState(57).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     expected = autocorrelation_naive(seq)
     release = threading.Event()
     held = sequences._fft_worker(os.getpid()).submit(release.wait, 10)
@@ -374,7 +460,7 @@ def test_split_kernel_runs_no_transform_after_a_failure(monkeypatch):
     # The worker is held, so the transform paired with the caller's is
     # still queued when the caller's fails: it is cancelled, and runs
     # neither on the caller nor later on the worker.
-    seq = np.random.RandomState(67).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    seq = np.random.RandomState(67).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     caller = threading.get_ident()
     real_rfft = np.fft.rfft
     calls = []
@@ -418,7 +504,7 @@ def test_split_kernel_in_a_forked_child():
     # inherits the parent's executor but not its thread, and must make an
     # executor of its own.  It inherits the held workspace of the thread
     # that forked it too, as a copy, and its norm must be exact on it.
-    seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 3)
+    seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     expected = autocorrelation_fast(seq)
     norm = l4_norm_pow4(seq)
     assert norm == 2 * _sum_squares(expected) - int(expected[0]) ** 2
