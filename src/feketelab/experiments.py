@@ -108,6 +108,8 @@ def technical_lemma_check(n: int, t: int) -> ExponentialSumBound:
     check on a stack of one.
     """
     n, t = as_int(n, "n"), as_int(t, "t")
+    # The residue indices below are int16, like the quadruples' indices
+    # they are formed from: n <= 24 keeps them below 24^3 = 13824.
     if not 1 <= n <= 24:
         raise ValueError(f"need 1 <= n <= 24, got n={n}")
     if not 1 <= t <= 32:

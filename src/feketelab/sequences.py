@@ -6,7 +6,9 @@ integer c_0^2 + 2 sum_{u>=1} c_u^2, where c_u are the aperiodic
 autocorrelations.  Every norm here is an exact integer: the spectral
 kernel rounds back to integers under a residual guard, and the direct
 kernel adds float32 tiles, whose every entry is an integer float32
-represents exactly, into int32 lag sums.  Above 896 coefficients the
+represents exactly, into int32 lag sums.  One body, _l4, sums the
+squares of the lags, of one sequence or of a stack of them, in int64
+chunks sized from the bound |c_u| <= t.  Above 896 coefficients the
 direct kernel sums each non-negative lag once, as tiled matrix products
 of zero-padded shifts of the sequence: about t^2 / 2 products, not the
 t^2 of a correlation over all 2t - 1 lags.  Both operands hold only -1,
@@ -15,26 +17,29 @@ every partial sum counts a subset of the products at one lag.
 Coefficient vectors are plain integer arrays or lists, checked at each
 public call; the vectors built here are read-only int8 arrays.
 
-From 2**14 coefficients up, the spectral kernel cuts the sequence into
-four pieces, each transformed at about t/2 points, and runs its eight
-transforms in pairs.  From 10,000 points per transform up (more than
-19,440 coefficients) one transform of a pair runs on the calling thread
-and the other on the process's worker thread; shorter pairs run on the
-calling thread alone (see _pair).  Every lag is rounded once.
+Below 2**14 coefficients the spectral kernel is one transform pair over
+the last axis (_short_correlation), which the verify gate runs on whole
+stacks of short sequences it builds itself.  From 2**14 coefficients
+up, it cuts the sequence into four pieces, each transformed at about
+t/2 points, and runs its eight transforms in pairs.  From 10,000 points
+per transform up (more than 19,440 coefficients) one transform of a
+pair runs on the calling thread and the other on the process's worker
+thread; shorter pairs run on the calling thread alone (see _pair).
+Every lag is rounded once.
 
 Memory: at most about 24 bytes per coefficient under tracemalloc in the
 four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
 direct kernel, plus about 0.6 MiB of tile buffers; the docstrings of
 autocorrelation_fast and autocorrelation_naive say which arrays these
 are.  The four-piece kernel's spectra and rows are one block each, and
-the lags are rounded into the memory of two spent spectra;
-autocorrelation_fast returns a copy of them, made once the rows are
-freed.  l4_norm_pow4 keeps those buffers between calls, one workspace
-for the thread that last called it, up to _HELD_BYTES = 64 MiB (t up to
-about 2.8 million); longer sequences allocate them per call.  FeketeSpec
-caps t at MAX_LENGTH, so a length is rejected before anything is
-allocated for it; every kernel rejects a longer raw sequence the same
-way.
+the lags are rounded into the memory of two spent spectra.
+autocorrelation_fast returns a copy of the lags on either path, made
+once the transform buffers are freed.  l4_norm_pow4 keeps the
+four-piece buffers between calls, one workspace for the thread that
+last called it, up to _HELD_BYTES = 64 MiB (t up to about 2.8 million);
+longer sequences allocate them per call.  FeketeSpec caps t at
+MAX_LENGTH, so a length is rejected before anything is allocated for
+it; every kernel rejects a longer raw sequence the same way.
 """
 
 from __future__ import annotations
@@ -93,21 +98,19 @@ class FeketeSpec:
         object.__setattr__(self, "t", t)
 
 
-def _coefficients(seq, ndim: int = 1) -> np.ndarray:
-    """seq as a non-empty integer array over {-1, 0, +1}, not copied: one
-    sequence (ndim = 1) or a stack of equal-length rows (ndim = 2).
+def _coefficients(seq) -> np.ndarray:
+    """seq as a non-empty 1-d integer array over {-1, 0, +1}, not copied.
 
     Lists and integer arrays of any width pass; float, bool and str
     entries, other shapes, lengths above MAX_LENGTH and out-of-range
     values raise ValueError.
     """
     arr = np.asarray(seq)
-    if arr.ndim != ndim or arr.size == 0:
-        what = "vector" if ndim == 1 else "stack"
-        raise ValueError(f"coefficient {what} must be {ndim}-d and non-empty")
-    if arr.shape[-1] > MAX_LENGTH:
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("coefficient vector must be 1-d and non-empty")
+    if arr.size > MAX_LENGTH:
         raise ValueError(
-            f"length {arr.shape[-1]} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
+            f"length {arr.size} exceeds MAX_LENGTH = 2**25 = {MAX_LENGTH} coefficients"
         )
     if arr.dtype.kind not in "iu":
         raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
@@ -438,11 +441,13 @@ def _round_head(inverse: np.ndarray, tail: np.ndarray, out: np.ndarray, t: int) 
 def _short_correlation(f: np.ndarray) -> np.ndarray:
     """int64 autocorrelations of each row of f along its last axis, t < 2**14.
 
-    f is one validated sequence or a C-contiguous stack of them, whose
-    spectrum rfft then lays out row by row, as _to_power needs.  One
-    spectral convolution of every row with its reversal, zero-padded to
-    the smallest n = 2^a 3^b 5^c >= 2t-1, and one guard over all rows.
+    f is one validated sequence or any integer stack, made C-contiguous
+    here, so that rfft lays its spectrum out row by row, as _to_power
+    needs.  One spectral convolution of every row with its reversal,
+    zero-padded to the smallest n = 2^a 3^b 5^c >= 2t-1, and one guard
+    over all rows.
     """
+    f = np.ascontiguousarray(f)
     t = f.shape[-1]
     n = _smooth_length(2 * t - 1)
     spectrum = np.fft.rfft(f, n)
@@ -548,8 +553,8 @@ def autocorrelation_fast(seq) -> np.ndarray:
     integer (residual >= 1e-3 or NaN).  Below 2**14 coefficients: one
     spectral convolution of the sequence with its reversal, zero-padded
     to the smallest n = 2^a 3^b 5^c >= 2t-1, by _short_correlation, a
-    body over the last axis that _autocorrelation_rows runs on a whole
-    stack of sequences at once; here it gets one.  From 2**14 up the sequence
+    body over the last axis that the verify gate also runs on whole
+    stacks of sequences; here it gets one.  From 2**14 up the sequence
     is cut into four pieces P_0..P_3 of q = ceil(t/4) coefficients (the
     last one shorter), each transformed at the smallest 5-smooth
     m >= 2q - 1, about n / 4.  A pair (j, j+u) has j in P_i and j+u in
@@ -575,12 +580,16 @@ def autocorrelation_fast(seq) -> np.ndarray:
     over and looked up by process id, so a child made by fork makes its
     own.
 
-    Memory, short path: the spectrum (8n bytes), the int64 result (8t)
-    and the irfft output (8n), with n about 2t: 44 bytes per coefficient
-    under tracemalloc at t = 2**14 - 1.  Four-piece path, on buffers made
-    for the call (see _split_correlation): a (4, h) complex128 block of
-    spectra, h = m // 2 + 1, about 16t bytes, and two float64 rows of m
-    points, about 8t.  Each piece is cast into a row and transformed from
+    Either path's lags are copied out, once the transform buffers are
+    freed, so the array returned owns its data.
+
+    Memory, short path: the spectrum (8n bytes), the int64 lags (8t) and
+    the irfft output (8n), with n about 2t: 44 bytes per coefficient under
+    tracemalloc at t = 2**14 - 1; the copy adds 8t once the spectrum and
+    the irfft output are freed.  Four-piece path, on buffers made for the
+    call (see _split_correlation): a (4, h) complex128 block of spectra,
+    h = m // 2 + 1, about 16t bytes, and two float64 rows of m points,
+    about 8t.  Each piece is cast into a row and transformed from
     it with out=, so no int8 piece is cast to a temporary; the spectra
     are overwritten in place by the gap spectra, the rows take the
     inverses, and the int64 lags are rounded into the spent S_2 and S_3
@@ -592,9 +601,7 @@ def autocorrelation_fast(seq) -> np.ndarray:
     running transforms.  l4_norm_pow4 runs the same body on buffers it
     keeps between calls, and copies nothing.
     """
-    f = _coefficients(seq)
-    c = _autocorrelation(f)
-    return c if f.size < _SPLIT_MIN else c.copy()
+    return _autocorrelation(_coefficients(seq)).copy()
 
 
 # Prime modulus of the autocorrelation certificate: a product of two
@@ -669,30 +676,32 @@ def l2_norm_pow2(seq) -> int:
     return int(np.count_nonzero(_coefficients(seq)))
 
 
-def _sum_squares(values: np.ndarray):
-    """Exact sums of v^2 along the last axis of int64 values.
+def _l4(c: np.ndarray):
+    """c_0^2 + 2 sum_{u>=1} c_u^2 of the int64 lags c of a length-t
+    sequence, along the last axis, exactly: one value for a lag vector,
+    an int64 per row for a stack.
 
-    int64 dot products run over chunks of floor(2^62 / max v^2) entries,
-    so no partial sum can overflow.  One chunk gives int64 sums, one per
-    row; more, which only a vector longer than a stack's rows can need,
-    are added as Python ints.  Exact whenever each v^2 fits in int64
-    (|v| < 3.03e9).  The peak is read with no temporary array.
+    Every |c_u| <= t, so a chunk of floor(2^62 / t^2) lags sums its squares
+    below 2^62.  While t^3 <= 2^62 (t <= 1,664,510) one int64 einsum takes
+    every lag, and twice its sum, at most 2 t^3 < 2^63, fits in int64.
+    Longer vectors add int64 dot products over such chunks as Python ints.
     """
-    peak = int(max(values.max(), -values.min()))
-    step = max(1, 2**62 // max(peak * peak, 1))
-    t = values.shape[-1]
+    t = c.shape[-1]
+    step = 2**62 // (t * t)
     if t <= step:
-        return np.einsum("...i,...i->...", values, values)
-    return sum(
-        int(np.dot(values[i : i + step], values[i : i + step])) for i in range(0, t, step)
-    )
+        c0, total = c[..., 0], np.einsum("...i,...i->...", c, c)
+    else:
+        c0 = int(c[0])
+        total = sum(int(np.dot(c[i : i + step], c[i : i + step])) for i in range(0, t, step))
+    return 2 * total - c0 * c0
 
 
 def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     """Fourth power of the L4 norm: c_0^2 + 2 sum_{u>=1} c_u^2, exact.
 
-    Sums the squares with overflow-guarded int64 dot products.  Since
-    |c_u| <= t, one chunk covers every t with t^3 <= 2^62 (t <= 1.6e6).
+    The squares are summed by _l4, in int64 chunks sized from the bound
+    |c_u| <= t, not from the lags read: one chunk covers every t with
+    t^3 <= 2^62 (t <= 1,664,510).
 
     The fast kernel runs autocorrelation_fast's body and sums the lags
     where they were rounded, in the spent S_2 and S_3 spectra, with no
@@ -712,33 +721,7 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
         c = autocorrelation_naive(seq)
     else:
         raise ValueError(f"kernel must be 'fast' or 'naive', got {kernel!r}")
-    return 2 * int(_sum_squares(c)) - int(c[0]) ** 2
-
-
-def _autocorrelation_rows(rows) -> np.ndarray:
-    """autocorrelation_fast of each row of a 2-d stack of sequences shorter
-    than 2**14, as an int64 stack, from one spectral call.
-
-    The rows pass _coefficients' rules, as a stack, and are correlated by
-    autocorrelation_fast's short path, _short_correlation, all at once.
-    """
-    f = _coefficients(rows, ndim=2)
-    t = f.shape[-1]
-    if t >= _SPLIT_MIN:
-        raise ValueError(f"stacked rows must be shorter than 2**14 = {_SPLIT_MIN}, got {t}")
-    return _short_correlation(np.ascontiguousarray(f))
-
-
-def _l4_rows(rows) -> np.ndarray:
-    """l4_norm_pow4 of each row of a 2-d stack of sequences shorter than
-    2**14, as int64, from one spectral call.
-
-    The rows are correlated by _autocorrelation_rows and their squares
-    summed as l4_norm_pow4 sums them.  A row's norm is at most 2 t^3 <
-    2**43, exact in int64.
-    """
-    c = _autocorrelation_rows(rows)
-    return 2 * _sum_squares(c) - c[:, 0] ** 2
+    return int(_l4(c))
 
 
 def merit_factor(seq) -> float:
@@ -769,8 +752,7 @@ def _quadruples(t: int):
     triples, (2 t^3 + t) / 3 are inside.  A quadruple counts at length s
     exactly when its largest index is below s, so the sums at every
     length 1 .. t come from one enumeration at length t.  int16 holds j1
-    in [1 - t, 2t - 2] and the residue indices the exponential-sum lemma
-    forms from these indices (below 24^3 = 13824).
+    in [1 - t, 2t - 2].
     """
     j = np.arange(t, dtype=np.int16)
     j2, j3, j4 = j[:, None, None], j[None, :, None], j[None, None, :]

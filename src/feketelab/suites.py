@@ -38,9 +38,9 @@ from .sequences import (
     fekete_coeffs,
     l4_norm_pow4,
     periodic_lower_bound,
-    _autocorrelation_rows,
     _char_sum_l4_prefixes,
-    _l4_rows,
+    _l4,
+    _short_correlation,
     _window_sum_sq,
 )
 
@@ -162,7 +162,7 @@ def check_charsum_oracle() -> tuple[bool, str]:
         rows = np.array([fekete_coeffs(spec) for spec in specs])
         norms = np.empty_like(sums)
         for t in range(1, 2 * p + 1):
-            norms[:, t - 1] = _l4_rows(rows[:, :t])
+            norms[:, t - 1] = _l4(_short_correlation(rows[:, :t]))
         bad = np.flatnonzero(sums != norms)
         if bad.size:
             r, t = divmod(int(bad[0]), 2 * p)
@@ -265,7 +265,7 @@ def check_periodic_bound() -> tuple[bool, str]:
         rows = np.tile(list(itertools.product((-1, 1), repeat=m)), -(-24 // m))
         ok = np.empty((len(rows), 24), dtype=bool)
         for t in range(1, 25):
-            ok[:, t - 1] = _l4_rows(rows[:, :t]) >= periodic_lower_bound(t, m)
+            ok[:, t - 1] = _l4(_short_correlation(rows[:, :t])) >= periodic_lower_bound(t, m)
         bad = np.flatnonzero(~ok)
         if bad.size:
             i, j = divmod(int(bad[0]), 24)
@@ -290,7 +290,7 @@ def check_kernels() -> tuple[bool, str]:
     for length, count in ((2, 300), (3, 300), (17, 300), (1024, 80), (2**14, 20)):
         if length < 1024:
             rows = rng.choice([-1, 1], size=(count, length))
-            pairs = zip(rows, _autocorrelation_rows(rows))
+            pairs = zip(rows, _short_correlation(rows))
         else:
             rows = (rng.choice([-1, 1], size=length) for _ in range(count))
             pairs = ((seq, autocorrelation_fast(seq)) for seq in rows)

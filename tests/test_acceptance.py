@@ -270,18 +270,38 @@ def test_kernel_check_draws_each_short_group_as_its_sequences_one_by_one():
 
 
 def test_kernel_check_reports_a_mismatch_in_a_stacked_group(monkeypatch):
-    real = suites._autocorrelation_rows
+    real = suites._short_correlation
 
     def off_at_length_17(rows):
-        c = real(rows).copy()
+        c = real(rows)
         if c.shape[-1] == 17:
             c[150, 3] += 1
         return c
 
-    monkeypatch.setattr(suites, "_autocorrelation_rows", off_at_length_17)
+    monkeypatch.setattr(suites, "_short_correlation", off_at_length_17)
     result = suites.check_kernels()
     assert not result.passed
     assert result.detail == "mismatch at length 17"
+
+
+@pytest.mark.parametrize(
+    "check,calls",
+    [(suites.check_charsum_oracle, 78), (suites.check_periodic_bound, 144), (suites.check_kernels, 3)],
+    ids=["charsum-oracle", "periodic-bound", "kernel-equality"],
+)
+def test_stacked_checks_make_one_spectral_call_per_group(monkeypatch, check, calls):
+    # one call per (p, t) with t <= 2p, p = 3 .. 13; per (m, t) with m <= 6
+    # and t <= 24; per short group of 300 kernel sequences
+    real, shapes = suites._short_correlation, []
+
+    def spy(rows):
+        shapes.append(np.shape(rows))
+        return real(rows)
+
+    monkeypatch.setattr(suites, "_short_correlation", spy)
+    assert check().passed
+    assert len(shapes) == calls
+    assert all(len(shape) == 2 for shape in shapes)
 
 
 def test_optimizer_check_scans_the_whole_box_once(monkeypatch):

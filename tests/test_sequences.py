@@ -27,10 +27,10 @@ from feketelab.sequences import (
     periodic_lower_bound,
     _certify_autocorrelation,
     _char_sum_l4_prefixes,
+    _l4,
     _quadruples,
     _SMOOTH_LENGTHS,
     _smooth_length,
-    _sum_squares,
     _window_sum_sq,
 )
 from feketelab.characters import legendre, legendre_table
@@ -361,7 +361,7 @@ def test_split_kernel_from_several_threads():
     assert min(map(transform_points, lengths)) >= sequences._PAIR_MIN
     seqs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in lengths]
     expected = [autocorrelation_naive(seq) for seq in seqs]
-    norms = [2 * _sum_squares(c) - int(c[0]) ** 2 for c in expected]
+    norms = [_l4(c) for c in expected]
     mismatches = []
     done = []
 
@@ -507,7 +507,7 @@ def test_split_kernel_in_a_forked_child():
     seq = np.random.RandomState(59).choice(np.array([-1, 1], dtype=np.int8), size=WORKER_LENGTH)
     expected = autocorrelation_fast(seq)
     norm = l4_norm_pow4(seq)
-    assert norm == 2 * _sum_squares(expected) - int(expected[0]) ** 2
+    assert norm == _l4(expected)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=send_autocorrelation, args=(seq, send))
@@ -552,7 +552,7 @@ def test_norm_workspace_across_lengths_and_the_held_bound(monkeypatch):
         if t < 2**15:
             assert (c == autocorrelation_naive(seq)).all(), t
         before = list(held)
-        assert l4_norm_pow4(seq) == 2 * _sum_squares(c) - int(c[0]) ** 2, t
+        assert l4_norm_pow4(seq) == _l4(c), t
         assert sequences._workspace(ident) is held
         assert sum(buf.nbytes for buf in held) <= bound, t
         if t in (60000, 50001):
@@ -566,7 +566,7 @@ def test_norm_workspace_across_lengths_and_the_held_bound(monkeypatch):
     seq = rng.choice(np.array([-1, 1], dtype=np.int8), size=60000)
     c = autocorrelation_fast(seq)
     sequences._workspace.cache_clear()
-    assert l4_norm_pow4(seq) == 2 * _sum_squares(c) - int(c[0]) ** 2
+    assert l4_norm_pow4(seq) == _l4(c)
     assert len(sequences._workspace(ident)) == 0
 
 
@@ -578,7 +578,7 @@ def test_norm_workspace_peak_memory():
     t = 2**18
     seq = np.random.RandomState(83).choice(np.array([-1, 1], dtype=np.int8), size=t)
     c = autocorrelation_fast(seq)
-    expected = 2 * _sum_squares(c) - int(c[0]) ** 2
+    expected = _l4(c)
     sequences._workspace.cache_clear()
     peaks = []
     tracemalloc.start()
@@ -673,7 +673,7 @@ def test_certificate_of_a_long_littlewood_norm():
     seq = littlewoodize(fekete_coeffs(FeketeSpec(1000003, 381888, 1225511)))
     c = autocorrelation_fast(seq)
     assert _certify_autocorrelation(seq, c, CERTIFICATE_POINTS)
-    assert 2 * _sum_squares(c) - int(c[0]) ** 2 == 2330464228007
+    assert _l4(c) == 2330464228007
 
 
 def autocorrelation_by_loop(seq):
@@ -954,18 +954,48 @@ def test_autocorrelation_fast_all_ones_at_largest_ladder_length():
     assert l4_norm_pow4(ones) == t * t + (t - 1) * t * (2 * t - 1) // 3
 
 
-def test_sum_squares_is_exact_past_int64():
-    big = 3_037_000_499  # largest v with v^2 < 2^63
-    values = np.array(
-        [big, -big, 2**31 - 1, -(2**31), 1, 0, -7] + [2**31 - 1] * 5, dtype=np.int64
-    )
-    exact = sum(v * v for v in values.tolist())
-    assert exact > 2**63
-    assert _sum_squares(values) == exact
-    assert _sum_squares(values[4:7]) == 50
-    assert _sum_squares(np.zeros(3, dtype=np.int64)) == 0
-    # each square is 2^62: summed in one chunk, the pair would overflow int64
-    assert _sum_squares(np.array([2**31, 2**31], dtype=np.int64)) == 2**63
+def test_sum_squares_is_exact_past_int64(monkeypatch):
+    # Lags all equal to t meet the bound |c_u| <= t that _l4 chunks by, with
+    # norm t^2 + 2 (t - 1) t^2 = 2t^3 - t^2.  1,664,510 is the largest t
+    # with t^3 <= 2^62: one int64 einsum takes every lag, and the norm,
+    # 9,223,358,536,270,161,900, sits just below 2^63 - 1.  One coefficient
+    # more needs chunks, and the norm passes int64.
+    real, einsums = np.einsum, []
+
+    def spy(*args, **kwargs):
+        einsums.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for t, calls in ((1_664_510, 1), (1_664_511, 0)):
+        einsums.clear()
+        norm = _l4(np.full(t, t, dtype=np.int64))
+        assert len(einsums) == calls, t
+        assert int(norm) == 2 * t**3 - t**2, t
+        assert (int(norm) < 2**63 - 1) == (calls == 1), t
+    assert isinstance(norm, int)
+
+
+def test_l4_of_a_stack_equals_each_rows_value():
+    rng = np.random.RandomState(61)
+    for t in (1, 2, 17, 1000, 2**14 - 1):
+        c = rng.randint(-t, t + 1, size=(5, t)).astype(np.int64)
+        c[0] = t  # the largest lags the bound allows
+        norms = _l4(c)
+        assert norms.dtype == np.int64 and norms.shape == (5,)
+        assert norms.tolist() == [int(_l4(row)) for row in c], t
+        rows = c.tolist()
+        assert norms.tolist() == [2 * sum(v * v for v in row) - row[0] ** 2 for row in rows], t
+
+
+def test_autocorrelation_fast_returns_an_array_that_owns_its_data():
+    # the short path's own lags and a copy out of the four-piece spectra
+    rng = np.random.RandomState(67)
+    for t in (17, 2**14 + 1):
+        seq = rng.choice(np.array([-1, 1], dtype=np.int8), size=t)
+        c = autocorrelation_fast(seq)
+        assert c.flags.owndata and c.base is None, t
+        assert (c == autocorrelation_naive(seq)).all(), t
 
 
 def test_autocorrelation_fast_signals_precision_failure(monkeypatch):
@@ -1038,40 +1068,25 @@ def test_stacked_short_path_equals_the_1d_kernel_row_by_row():
             assert (c == autocorrelation_fast(row)).all(), t
 
 
+def l4_rows(rows):
+    """The verify gate's stacked norm: one spectral call, one sum."""
+    return _l4(sequences._short_correlation(rows))
+
+
 def test_l4_rows_equals_l4_norm_pow4_per_row():
     rng = np.random.RandomState(53)
     for t in (1, 2, 3, 17, 64, 1000, 2**14 - 1):
         for dtype in (np.int8, np.int64, np.uint8):
             values = [0, 1] if dtype == np.uint8 else [-1, 0, 1]
             rows = rng.choice(np.array(values, dtype=dtype), size=(4, t))
-            norms = sequences._l4_rows(rows)
+            norms = l4_rows(rows)
             assert norms.dtype == np.int64
             assert norms.tolist() == [l4_norm_pow4(row) for row in rows], (t, dtype)
     # a list of rows and a non-contiguous stack pass too
-    assert sequences._l4_rows([[1, 1, -1], [1, 1, 1]]).tolist() == [11, 19]
+    assert l4_rows([[1, 1, -1], [1, 1, 1]]).tolist() == [11, 19]
     columns = np.array([[1, 1], [1, 1], [-1, 1]]).T
     assert not columns.flags.c_contiguous
-    assert sequences._l4_rows(columns).tolist() == [11, 19]
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.ones((2, 2, 2), dtype=np.int8),
-        np.ones(3, dtype=np.int8),
-        np.ones((0, 3), dtype=np.int8),
-        np.ones((3, 0), dtype=np.int8),
-        np.ones((2, 3)),
-        np.ones((2, 3), dtype=bool),
-        np.array([[1, 0, 2]]),
-        np.array([[1, -2, 0]]),
-        np.ones((1, 2**14), dtype=np.int8),
-    ],
-    ids=["3-d", "1-d", "no rows", "empty rows", "float", "bool", "2", "-2", "2**14"],
-)
-def test_l4_rows_rejects_bad_stacks(bad):
-    with pytest.raises(ValueError):
-        sequences._l4_rows(bad)
+    assert l4_rows(columns).tolist() == [11, 19]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -1086,7 +1101,7 @@ def test_l4_rows_rejects_a_nan_in_one_row(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", irfft_with_a_nan_in_row_2)
     rows = np.random.RandomState(59).choice([-1, 1], size=(4, 9))
     with pytest.raises(KernelPrecisionError, match="residual nan at length 9"):
-        sequences._l4_rows(rows)
+        l4_rows(rows)
 
 
 def test_autocorrelation_fast_peak_memory():
