@@ -19,27 +19,20 @@ public call; the vectors built here are read-only int8 arrays.
 
 Below 2**14 coefficients the spectral kernel is one transform pair over
 the last axis (_short_correlation), which the verify gate runs on whole
-stacks of short sequences it builds itself.  From 2**14 coefficients
-up, it cuts the sequence into four pieces, each transformed at about
-t/2 points, and runs its eight transforms in pairs.  From 10,000 points
-per transform up (more than 19,440 coefficients) one transform of a
-pair runs on the calling thread and the other on the process's worker
-thread; shorter pairs run on the calling thread alone (see _pair).
-Every lag is rounded once.
+stacks of short sequences it builds itself.  From 2**14 coefficients up
+it is the four-piece kernel that _autocorrelation describes.
 
 Memory: at most about 24 bytes per coefficient under tracemalloc in the
 four-piece spectral kernel, plus pocketfft's own scratch, and 12 in the
 direct kernel, plus about 0.6 MiB of tile buffers; the docstrings of
 autocorrelation_fast and autocorrelation_naive say which arrays these
-are.  The four-piece kernel's spectra and rows are one block each, and
-the lags are rounded into the memory of two spent spectra.
-autocorrelation_fast returns a copy of the lags on either path, made
-once the transform buffers are freed.  l4_norm_pow4 keeps the
-four-piece buffers between calls, one workspace for the thread that
-last called it, up to _HELD_BYTES = 64 MiB (t up to about 2.8 million);
-longer sequences allocate them per call.  FeketeSpec caps t at
-MAX_LENGTH, so a length is rejected before anything is allocated for
-it; every kernel rejects a longer raw sequence the same way.
+are.  autocorrelation_fast returns a copy of the lags on either path.
+l4_norm_pow4 keeps the four-piece buffers between calls, one workspace
+for the thread that last called it, up to _HELD_BYTES = 64 MiB (t up to
+about 2.8 million); longer sequences allocate them per call.
+FeketeSpec caps t at MAX_LENGTH, so a length is rejected before
+anything is allocated for it; every kernel rejects a longer raw
+sequence the same way.
 """
 
 from __future__ import annotations
@@ -346,8 +339,8 @@ def _to_power(first: np.ndarray, rest=()) -> None:
 
     irfft then gets a complex array, so it makes no complex copy of a
     real input.  rest is a plain argument, not *rest, whose call measured
-    slower: the short path's one-spectrum call runs thousands of times in
-    the verify gate.
+    slower: the short path's one-spectrum call is 275 of the 315 calls
+    that one `verify --suite all` makes.
     """
     parts = first.view(np.float64)
     parts *= parts
@@ -457,45 +450,6 @@ def _short_correlation(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_correlation(f: np.ndarray, spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """int64 autocorrelations of f, t >= 2**14, by four pieces of q =
-    ceil(t/4) coefficients, in the buffers given.
-
-    spectra is a C-contiguous (4, h) complex128 block and rows a (2, m)
-    float64 pair, m the smallest 5-smooth number >= 2q - 1 and h =
-    m // 2 + 1.  Each pair of pieces is cast into the rows and transformed
-    into two rows of spectra, which _to_gap_spectra overwrites by the gap
-    spectra; the rows take each pair of inverses.  The lags are rounded
-    into the memory of the spent S_2 and S_3 rows (8t <= 32h bytes, as h
-    >= q), and returned there as a view.
-
-    Every lag is rounded once.  A lag d q + k, 0 < k < q, sums index k of
-    the inverse of S_d and index m - q + k of the inverse of S_{d+1}; the
-    two are added in float64 and the sum is rounded (_round_head).  S_2's
-    tail waits for S_1's inverse, parked as float64 in the bytes of lags
-    q + 1 .. 2q - 1, which S_1's head then overwrites.
-    """
-    t = f.size
-    q = -(-t // 4)
-    m = rows.shape[1]
-    for i in (0, 2):
-        a, b = f[i * q : (i + 1) * q], f[(i + 1) * q : (i + 2) * q]
-        rows[0, : a.size], rows[1, : b.size] = a, b
-        _pair(np.fft.rfft, rows[0, : a.size], rows[1, : b.size], m, spectra[i : i + 2])
-    _to_gap_spectra(spectra)
-    _pair(np.fft.irfft, spectra[2], spectra[3], m, rows)
-    lags = spectra[2:].reshape(-1).view(np.int64)[:t]
-    parked = lags.view(np.float64)[q + 1 : 2 * q]
-    tail = slice(m - q + 1, m)
-    _round_into(rows[1, : t - 3 * q], lags[3 * q :], t)
-    _round_head(rows[0], rows[1, tail], lags[2 * q : 3 * q], t)
-    parked[...] = rows[0, tail]
-    _pair(np.fft.irfft, spectra[0], spectra[1], m, rows)
-    _round_head(rows[1], parked, lags[q : 2 * q], t)
-    _round_head(rows[0], rows[1, tail], lags[:q], t)
-    return lags
-
-
 # Most bytes of spectral buffers that l4_norm_pow4 keeps for a thread
 # between calls.  A length needs 16 (4h + m) bytes, about 24t, so every
 # length up to about 2.8 million coefficients runs in a held workspace.
@@ -504,10 +458,8 @@ _HELD_BYTES = 2**26
 
 @functools.lru_cache(maxsize=1)
 def _workspace(thread: int) -> list:
-    """The spectral buffers l4_norm_pow4 keeps for the thread whose ident
-    is thread: empty, or a flat complex128 array for the spectra and a flat
-    float64 array for the rows, from which _autocorrelation carves each
-    call's views.
+    """The list of spectral buffers that l4_norm_pow4 keeps for the thread
+    whose ident is thread, and passes to _autocorrelation (see there).
 
     One entry: a call from another thread evicts it, so threads never
     share buffers.  It is a functools cache, so cache_clear drops it.
@@ -515,35 +467,82 @@ def _workspace(thread: int) -> list:
     return []
 
 
-def _autocorrelation(f: np.ndarray, held: list | None = None) -> np.ndarray:
+def _autocorrelation(f: np.ndarray, held: list) -> np.ndarray:
     """int64 autocorrelations of the validated sequence f: the one body of
     autocorrelation_fast and of l4_norm_pow4's fast kernel.
 
-    Below 2**14 coefficients, _short_correlation.  From 2**14 up,
-    _split_correlation, whose lags are a view into its spectra.  Its
-    buffers are carved from held, a _workspace, if one is given and they
-    fit in _HELD_BYTES: the held arrays grow to exactly the size asked, the
-    smaller ones freed first, and are never shrunk, so the lags are
-    overwritten by the thread's next call.  Otherwise they are made for
-    this call.  A call that raises empties held, so a transform left
-    running by an interrupted wait writes into no buffer a later call uses.
+    Below 2**14 coefficients, _short_correlation.  From 2**14 up, the
+    four-piece kernel.  The sequence is cut into pieces P_0..P_3 of q =
+    ceil(t/4) coefficients (the last one shorter), each transformed at the
+    smallest 5-smooth m >= 2q - 1, about t/2 points.  A pair (j, j+u) has
+    j in P_i and j+u in P_{i+d} for one gap d >= 0, so c_u sums, over d
+    and i, the cross correlations of P_i against P_{i+d} at offset
+    k = u - d q, |k| < q.  The inverse of the gap spectrum
+    S_d = sum_i conj(F_i) F_{i+d} (S_0 = sum |F_i|^2) holds their sum over
+    i at index k mod m, no wrap since m >= 2q - 1: its indices 0 .. q-1
+    give the lags d q .. d q + q-1 and its last q - 1 indices the lags
+    (d-1) q + 1 .. d q - 1.
+
+    Every lag is rounded once.  Lag d q + k, 0 < k < q, sums index k of
+    S_d's inverse and index m - q + k of S_{d+1}'s; the two are added in
+    float64 and the sum is rounded under the guard (_round_head).  S_2's
+    tail waits for S_1's inverse, parked as float64 in the bytes of lags
+    q + 1 .. 2q - 1, which S_1's head then overwrites.
+
+    The eight transforms run in four pairs by _pair: the forward
+    transforms of P_0 and P_1, then of P_2 and P_3, then the inverses of
+    S_2 and S_3, then of S_0 and S_1.  From m = _PAIR_MIN = 10,000 points
+    up (t above 19,440) one transform of a pair runs on the process's
+    worker thread.
+
+    Buffers.  A C-contiguous (4, h) complex128 block of spectra, h =
+    m // 2 + 1, and a (2, m) float64 pair of rows are carved from held: a
+    flat complex128 and a flat float64 array, grown to exactly the size
+    asked (the smaller ones freed first) and never shrunk.  A length whose
+    16 (4h + m) bytes exceed _HELD_BYTES swaps in a fresh list and leaves
+    held as it is.  Each pair of pieces is cast into the rows and
+    transformed from them with out=, so no int8 piece is cast to a
+    temporary; _to_gap_spectra overwrites the piece spectra by the gap
+    spectra in place; the rows take each pair of inverses.  The lags are
+    rounded into the memory of the spent S_2 and S_3 rows (8t <= 32h
+    bytes, as h >= q) and returned there as a view, which the next call on
+    the same list overwrites.  A call that raises empties the list, so a
+    transform left running by an interrupted wait writes into no buffer a
+    later call uses.
     """
     t = f.size
     if t < _SPLIT_MIN:
         return _short_correlation(f)
-    m = _smooth_length(2 * (-(-t // 4)) - 1)
+    q = -(-t // 4)
+    m = _smooth_length(2 * q - 1)
     h = m // 2 + 1
-    if held is None or 16 * (4 * h + m) > _HELD_BYTES:
-        return _split_correlation(f, np.empty((4, h), dtype=np.complex128), np.empty((2, m)))
+    if 16 * (4 * h + m) > _HELD_BYTES:
+        held = []
     # enough rows means enough spectra: h grows with m
     if not held or held[1].size < 2 * m:
         held.clear()
         held[:] = [np.empty(4 * h, dtype=np.complex128), np.empty(2 * m)]
+    spectra, rows = held[0][: 4 * h].reshape(4, h), held[1][: 2 * m].reshape(2, m)
     try:
-        return _split_correlation(f, held[0][: 4 * h].reshape(4, h), held[1][: 2 * m].reshape(2, m))
+        for i in (0, 2):
+            a, b = f[i * q : (i + 1) * q], f[(i + 1) * q : (i + 2) * q]
+            rows[0, : a.size], rows[1, : b.size] = a, b
+            _pair(np.fft.rfft, rows[0, : a.size], rows[1, : b.size], m, spectra[i : i + 2])
+        _to_gap_spectra(spectra)
+        _pair(np.fft.irfft, spectra[2], spectra[3], m, rows)
+        lags = spectra[2:].reshape(-1).view(np.int64)[:t]
+        parked = lags.view(np.float64)[q + 1 : 2 * q]
+        tail = slice(m - q + 1, m)
+        _round_into(rows[1, : t - 3 * q], lags[3 * q :], t)
+        _round_head(rows[0], rows[1, tail], lags[2 * q : 3 * q], t)
+        parked[...] = rows[0, tail]
+        _pair(np.fft.irfft, spectra[0], spectra[1], m, rows)
+        _round_head(rows[1], parked, lags[q : 2 * q], t)
+        _round_head(rows[0], rows[1, tail], lags[:q], t)
     except BaseException:
         held.clear()
         raise
+    return lags
 
 
 def autocorrelation_fast(seq) -> np.ndarray:
@@ -554,54 +553,24 @@ def autocorrelation_fast(seq) -> np.ndarray:
     spectral convolution of the sequence with its reversal, zero-padded
     to the smallest n = 2^a 3^b 5^c >= 2t-1, by _short_correlation, a
     body over the last axis that the verify gate also runs on whole
-    stacks of sequences; here it gets one.  From 2**14 up the sequence
-    is cut into four pieces P_0..P_3 of q = ceil(t/4) coefficients (the
-    last one shorter), each transformed at the smallest 5-smooth
-    m >= 2q - 1, about n / 4.  A pair (j, j+u) has j in P_i and j+u in
-    P_{i+d} for one gap d >= 0, so c_u sums, over d and i, the cross
-    correlations of P_i against P_{i+d} at offset k = u - d q, |k| < q.
-    The inverse of the gap spectrum S_d = sum_i conj(F_i) F_{i+d}
-    (S_0 = sum |F_i|^2) holds their sum over i at index k mod m, no wrap
-    since m >= 2q - 1: its indices 0 .. q-1 give the lags d q .. d q + q-1
-    and its last q - 1 indices the lags (d-1) q + 1 .. d q - 1.
-
-    Lag d q + k, 0 < k < q, gets two terms, index k of S_d's inverse and
-    index m - q + k of S_{d+1}'s; they are added in float64 and the sum
-    is rounded once, under the guard, so t values are rounded in all.
-
-    The eight transforms run in four pairs by _pair: the forward
-    transforms of P_0 and P_1, then of P_2 and P_3, then the inverses of
-    S_2 and S_3, then of S_0 and S_1.  From m = _PAIR_MIN = 10,000 points
-    up (t above 19,440) one transform of a pair runs on the calling
-    thread and the other on the process's worker thread (numpy's
-    transforms release the GIL); shorter pairs, whose handoff would cost
-    more than it saves, run on the calling thread.  The worker runs
-    nothing but np.fft calls; it is made on the first call that hands one
-    over and looked up by process id, so a child made by fork makes its
-    own.
-
+    stacks of sequences; here it gets one.  From 2**14 up: the four-piece
+    kernel that _autocorrelation describes, on buffers made for this call.
     Either path's lags are copied out, once the transform buffers are
     freed, so the array returned owns its data.
 
     Memory, short path: the spectrum (8n bytes), the int64 lags (8t) and
     the irfft output (8n), with n about 2t: 44 bytes per coefficient under
     tracemalloc at t = 2**14 - 1; the copy adds 8t once the spectrum and
-    the irfft output are freed.  Four-piece path, on buffers made for the
-    call (see _split_correlation): a (4, h) complex128 block of spectra,
-    h = m // 2 + 1, about 16t bytes, and two float64 rows of m points,
-    about 8t.  Each piece is cast into a row and transformed from
-    it with out=, so no int8 piece is cast to a temporary; the spectra
-    are overwritten in place by the gap spectra, the rows take the
-    inverses, and the int64 lags are rounded into the spent S_2 and S_3
-    spectra.  The rows are dropped before the lags are copied out, so at
-    most about 24t bytes are live, plus under 0.6 MiB of numpy's ufunc
-    buffers and blocks of _GAP_BLOCK entries (26.3 bytes per coefficient
-    under tracemalloc at t = 2**18, 24.9 at t = 10**6 + 3), plus
-    pocketfft's own scratch, about 16 bytes per point of each of the two
-    running transforms.  l4_norm_pow4 runs the same body on buffers it
-    keeps between calls, and copies nothing.
+    the irfft output are freed.  Four-piece path: the (4, h) complex128
+    spectra, about 16t bytes, and the two float64 rows of m points, about
+    8t.  The rows are dropped before the lags are copied out, so at most
+    about 24t bytes are live, plus under 0.6 MiB of numpy's ufunc buffers
+    and blocks of _GAP_BLOCK entries (26.3 bytes per coefficient under
+    tracemalloc at t = 2**18, 24.9 at t = 10**6 + 3), plus pocketfft's own
+    scratch, about 16 bytes per point of each of the two running
+    transforms.
     """
-    return _autocorrelation(_coefficients(seq)).copy()
+    return _autocorrelation(_coefficients(seq), []).copy()
 
 
 # Prime modulus of the autocorrelation certificate: a product of two
@@ -696,6 +665,20 @@ def _l4(c: np.ndarray):
     return 2 * total - c0 * c0
 
 
+def _l4_prefixes(rows: np.ndarray) -> np.ndarray:
+    """The norms of every prefix of each row of the (n, T) integer stack
+    rows, the counterpart of _char_sum_l4_prefixes: entry [i, s-1] is the
+    norm of rows[i, :s], as an (n, T) int64 array.
+
+    One _short_correlation call on the n T prefixes, each zero-padded to
+    T: a padded prefix's lags are its own lags followed by zeros, so _l4
+    of the padding gives the prefix's norm.
+    """
+    n, T = rows.shape
+    prefixes = (rows[:, None, :] * np.tri(T)).reshape(n * T, T)
+    return _l4(_short_correlation(prefixes)).reshape(n, T)
+
+
 def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     """Fourth power of the L4 norm: c_0^2 + 2 sum_{u>=1} c_u^2, exact.
 
@@ -703,17 +686,17 @@ def l4_norm_pow4(seq, kernel: str = "fast") -> int:
     |c_u| <= t, not from the lags read: one chunk covers every t with
     t^3 <= 2^62 (t <= 1,664,510).
 
-    The fast kernel runs autocorrelation_fast's body and sums the lags
-    where they were rounded, in the spent S_2 and S_3 spectra, with no
-    copy.  From 2**14 coefficients up its buffers are this thread's
-    _workspace, kept between calls while they fit in _HELD_BYTES = 64 MiB
-    (t up to about 2.8 million): a ladder of norms, run largest first,
-    allocates them once and faults their pages in once, where buffers
-    made per call are returned to the system by the allocator and faulted
-    in again by the next call.  So the first call peaks at about 24t bytes
-    under tracemalloc and a repeat at the same length allocates under
-    1 MiB.  Longer sequences get buffers made for the call, as
-    autocorrelation_fast does, and leave the held ones as they are.
+    The fast kernel runs autocorrelation_fast's body, _autocorrelation,
+    and sums the lags in the buffers they were rounded into, with no copy.
+    From 2**14 coefficients up those buffers are this thread's _workspace,
+    kept between calls while they fit in _HELD_BYTES = 64 MiB (t up to
+    about 2.8 million): a ladder of norms, run largest first, allocates
+    them once and faults their pages in once, where buffers made per call
+    are returned to the system by the allocator and faulted in again by
+    the next call.  So the first call peaks at about 24t bytes under
+    tracemalloc and a repeat at the same length allocates under 1 MiB.
+    Longer sequences get buffers made for the call, as autocorrelation_fast
+    does, and leave the held ones as they are.
     """
     if kernel == "fast":
         c = _autocorrelation(_coefficients(seq), _workspace(threading.get_ident()))

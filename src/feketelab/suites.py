@@ -39,7 +39,7 @@ from .sequences import (
     l4_norm_pow4,
     periodic_lower_bound,
     _char_sum_l4_prefixes,
-    _l4,
+    _l4_prefixes,
     _short_correlation,
     _window_sum_sq,
 )
@@ -153,16 +153,14 @@ def check_hj_specialization() -> tuple[bool, str]:
 @_gate("charsum-oracle")
 def check_charsum_oracle() -> tuple[bool, str]:
     """Quadruple character sum equals the autocorrelation norm exactly,
-    at every length t <= 2p: one prefix pass and one row per (p, r), one
-    norm call per (p, t) on the row prefixes; first mismatch in (r, t) order."""
+    at every length t <= 2p: one row per (p, r), whose prefixes give every
+    length, one quadruple pass per row and one stacked norm call per p;
+    first mismatch in (r, t) order."""
     checked = 0
     for p in primes_in(3, 13):
         specs = [FeketeSpec(p, r, 2 * p) for r in range(p)]
         sums = np.array([_char_sum_l4_prefixes(spec) for spec in specs])
-        rows = np.array([fekete_coeffs(spec) for spec in specs])
-        norms = np.empty_like(sums)
-        for t in range(1, 2 * p + 1):
-            norms[:, t - 1] = _l4(_short_correlation(rows[:, :t]))
+        norms = _l4_prefixes(np.array([fekete_coeffs(spec) for spec in specs]))
         bad = np.flatnonzero(sums != norms)
         if bad.size:
             r, t = divmod(int(bad[0]), 2 * p)
@@ -258,22 +256,23 @@ def check_exponential_sum_bound() -> tuple[bool, str]:
 def check_periodic_bound() -> tuple[bool, str]:
     """Every m-periodic sign sequence (m <= 6, t <= 24) meets the floor;
     the all-ones sequence attains it at m = 1.  One stacked norm call per
-    (m, t) covers a prefix of every pattern's 24-long extension; the first
-    failure is reported in (pattern, t) order."""
+    m covers every prefix of every pattern's 24-long extension; the first
+    failure is reported in (m, pattern, t) order, with the all-ones
+    equality checked after the floors of m = 1."""
     checked = 0
     for m in range(1, 7):
-        rows = np.tile(list(itertools.product((-1, 1), repeat=m)), -(-24 // m))
-        ok = np.empty((len(rows), 24), dtype=bool)
-        for t in range(1, 25):
-            ok[:, t - 1] = _l4(_short_correlation(rows[:, :t])) >= periodic_lower_bound(t, m)
-        bad = np.flatnonzero(~ok)
+        rows = np.tile(list(itertools.product((-1, 1), repeat=m)), -(-24 // m))[:, :24]
+        norms = _l4_prefixes(rows)
+        floors = [periodic_lower_bound(t, m) for t in range(1, 25)]
+        bad = np.flatnonzero(norms < floors)
         if bad.size:
             i, j = divmod(int(bad[0]), 24)
             return False, f"floor broken m={m} t={j + 1} {tuple(rows[i, :m].tolist())}"
-        checked += ok.size
-    for t in range(1, 25):
-        if l4_norm_pow4([1] * t) != periodic_lower_bound(t, 1):
-            return False, f"all-ones equality broken t={t}"
+        if m == 1:  # the last pattern is all ones
+            loose = np.flatnonzero(norms[-1] != floors)
+            if loose.size:
+                return False, f"all-ones equality broken t={int(loose[0]) + 1}"
+        checked += norms.size
     return True, f"{checked} sequences ok, all-ones tight"
 
 

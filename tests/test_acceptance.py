@@ -235,7 +235,7 @@ def test_decomposition_check_catches_a_wrong_spectral_norm(monkeypatch):
     # l4_norm_pow4 and autocorrelation_fast share one spectral body
     real = sequences._autocorrelation
 
-    def off_by_one_at_the_last_lag(f, held=None):
+    def off_by_one_at_the_last_lag(f, held):
         c = real(f, held).copy()
         c[-1] += 1
         return c
@@ -285,23 +285,28 @@ def test_kernel_check_reports_a_mismatch_in_a_stacked_group(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check,calls",
-    [(suites.check_charsum_oracle, 78), (suites.check_periodic_bound, 144), (suites.check_kernels, 3)],
+    "check,module,shapes",
+    [
+        (suites.check_charsum_oracle, sequences, [(2 * p * p, 2 * p) for p in (3, 5, 7, 11, 13)]),
+        (suites.check_periodic_bound, sequences, [(2**m * 24, 24) for m in range(1, 7)]),
+        (suites.check_kernels, suites, [(300, 2), (300, 3), (300, 17)]),
+    ],
     ids=["charsum-oracle", "periodic-bound", "kernel-equality"],
 )
-def test_stacked_checks_make_one_spectral_call_per_group(monkeypatch, check, calls):
-    # one call per (p, t) with t <= 2p, p = 3 .. 13; per (m, t) with m <= 6
-    # and t <= 24; per short group of 300 kernel sequences
-    real, shapes = suites._short_correlation, []
+def test_stacked_checks_make_one_spectral_call_per_group(monkeypatch, check, module, shapes):
+    # charsum-oracle: one call per p = 3 .. 13 on the 2p prefixes of each of
+    # its p rows; periodic-bound: one per m <= 6 on the 24 prefixes of each
+    # of its 2^m patterns, the all-ones norms among them; kernel-equality,
+    # which calls the short path from suites: one per short group of 300
+    real, seen = module._short_correlation, []
 
     def spy(rows):
-        shapes.append(np.shape(rows))
+        seen.append(np.shape(rows))
         return real(rows)
 
-    monkeypatch.setattr(suites, "_short_correlation", spy)
+    monkeypatch.setattr(module, "_short_correlation", spy)
     assert check().passed
-    assert len(shapes) == calls
-    assert all(len(shape) == 2 for shape in shapes)
+    assert seen == shapes
 
 
 def test_optimizer_check_scans_the_whole_box_once(monkeypatch):

@@ -128,7 +128,7 @@ def test_norm_runs_one_kernel_once(capsys, monkeypatch, kernel, spectral_calls):
     calls = []
     fast = sequences._autocorrelation
 
-    def spy(f, held=None):
+    def spy(f, held):
         calls.append(len(f))
         return fast(f, held)
 

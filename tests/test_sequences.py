@@ -28,6 +28,7 @@ from feketelab.sequences import (
     _certify_autocorrelation,
     _char_sum_l4_prefixes,
     _l4,
+    _l4_prefixes,
     _quadruples,
     _SMOOTH_LENGTHS,
     _smooth_length,
@@ -272,7 +273,7 @@ def test_split_kernel_rounds_every_lag_once(monkeypatch, t):
         real_round_into(values, out, length)
 
     monkeypatch.setattr(sequences, "_round_into", recording_round_into)
-    lags = sequences._autocorrelation(seq)
+    lags = sequences._autocorrelation(seq, [])
     base = lags.__array_interface__["data"][0]
     hits = np.zeros(t, dtype=np.int64)
     for address, size in rounded:
@@ -568,6 +569,38 @@ def test_norm_workspace_across_lengths_and_the_held_bound(monkeypatch):
     sequences._workspace.cache_clear()
     assert l4_norm_pow4(seq) == _l4(c)
     assert len(sequences._workspace(ident)) == 0
+
+
+def test_a_failed_norm_above_the_held_bound_keeps_the_held_workspace(monkeypatch):
+    # With the bound lowered to 1 MiB, 60000 coefficients need 1,440,064
+    # bytes of buffers, so the norm runs on a fresh list: its failure
+    # empties that list, and the thread's held buffers stay the same objects.
+    monkeypatch.setattr(sequences, "_HELD_BYTES", 2**20)
+    sequences._workspace.cache_clear()
+    rng = np.random.RandomState(103)
+    short, long = (rng.choice(np.array([-1, 1], dtype=np.int8), size=t) for t in (2**14 + 3, 60000))
+    norm = l4_norm_pow4(short)
+    held = sequences._workspace(threading.get_ident())
+    before = list(held)
+    assert len(before) == 2
+
+    def failing_irfft(spectrum, n, out=None):
+        raise RuntimeError("transform failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "irfft", failing_irfft)
+        with pytest.raises(RuntimeError, match="transform failed"):
+            l4_norm_pow4(long)
+    assert len(held) == 2 and all(a is b for a, b in zip(held, before))
+    assert l4_norm_pow4(short) == norm
+
+
+def test_autocorrelation_fast_holds_no_workspace():
+    # its four-piece buffers are a list of the call's own, dropped with it
+    seq = np.random.RandomState(107).choice(np.array([-1, 1], dtype=np.int8), size=2**14 + 1)
+    sequences._workspace.cache_clear()
+    assert (autocorrelation_fast(seq) == autocorrelation_naive(seq)).all()
+    assert sequences._workspace(threading.get_ident()) == []
 
 
 def test_norm_workspace_peak_memory():
@@ -1087,6 +1120,25 @@ def test_l4_rows_equals_l4_norm_pow4_per_row():
     columns = np.array([[1, 1], [1, 1], [-1, 1]]).T
     assert not columns.flags.c_contiguous
     assert l4_rows(columns).tolist() == [11, 19]
+
+
+def test_l4_prefixes_equal_the_norm_of_every_prefix():
+    # raw Fekete rows keep their zeros; each width is a stack of its own
+    fekete = np.array([fekete_coeffs(FeketeSpec(13, r, 26)) for r in range(13)])
+    assert (fekete == 0).any()
+    rng = np.random.RandomState(71)
+    stacks = [
+        fekete,
+        rng.choice(np.array([-1, 1], dtype=np.int64), size=(4, 26)),
+        rng.choice(np.array([0, 1], dtype=np.uint8), size=(4, 26)),
+    ]
+    for stack in stacks:
+        for width in range(1, 27):
+            rows = stack[:, :width]
+            norms = _l4_prefixes(rows)
+            assert norms.dtype == np.int64 and norms.shape == rows.shape
+            expected = [[l4_norm_pow4(row[:s]) for s in range(1, width + 1)] for row in rows]
+            assert norms.tolist() == expected, (stack.dtype, width)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
